@@ -1030,11 +1030,49 @@ mod tests {
                 t_ns: 99,
                 kind: TraceEvent::Wakeup { pair: 3 },
             }),
+            TraceLine::Ev(Event {
+                seq: 1,
+                t_ns: 100,
+                kind: TraceEvent::SlotDispatch {
+                    core: 1,
+                    slot: 7,
+                    consumers: vec![3, 0],
+                },
+            }),
+            TraceLine::Ev(Event {
+                seq: 2,
+                t_ns: 100,
+                kind: TraceEvent::SlotReserve {
+                    core: 1,
+                    consumer: 3,
+                    slot: 8,
+                    prev: Some(7),
+                },
+            }),
+            TraceLine::Ev(Event {
+                seq: 3,
+                t_ns: 101,
+                kind: TraceEvent::FaultInjected {
+                    id: 0,
+                    kind: "rate_shock".into(),
+                    pair: 2,
+                    core: u32::MAX,
+                    param: 3_000,
+                    pool_available: u64::MAX,
+                },
+            }),
         ];
         for line in lines {
             let text = line_to_json(&line);
             let back = line_from_json(&text).expect("parses");
             assert_eq!(back, line, "roundtrip mismatch for {text}");
+            // The derived writer prints what the parsed `Value` prints,
+            // compact and pretty.
+            let value: serde_json::Value = serde_json::from_str(&text).unwrap();
+            assert_eq!(serde_json::to_string(&value).unwrap(), text);
+            let pretty = serde_json::to_string_pretty(&line).unwrap();
+            let value: serde_json::Value = serde_json::from_str(&pretty).unwrap();
+            assert_eq!(serde_json::to_string_pretty(&value).unwrap(), pretty);
         }
     }
 }

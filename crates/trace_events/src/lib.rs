@@ -17,6 +17,10 @@
 //! * **No floats in payloads.** Every field is an integer, bool or
 //!   string, so the serialised stream and its [`digest`] are
 //!   platform-stable.
+//! * **The digest streams.** [`digest`] writes each event's canonical
+//!   JSON straight into an FNV-1a sink via `serde_json::to_writer`: no
+//!   intermediate tree, no line buffer, no allocation per event. The
+//!   bytes hashed are exactly the lines of a JSONL export.
 //! * **Zero cost when disabled.** Instrumentation goes through
 //!   [`TraceHandle::record`], whose disabled path is a single `Option`
 //!   branch; payload construction is a closure that never runs unless a
@@ -539,24 +543,48 @@ impl TraceHandle {
 /// newline-separated — exactly the bytes a JSONL export of the stream
 /// contains, so an exported file and an in-memory log always agree.
 ///
+/// Each event streams its canonical bytes through `serde_json::to_writer`
+/// straight into the hash: no intermediate tree or line buffer, and no
+/// allocation per event.
+///
 /// Payloads are integers/bools/strings only (module contract), so the
 /// digest is platform-stable and bit-deterministic per seed.
 pub fn digest(events: &[Event]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x1_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    let mut step = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut hash = Fnv1a::new();
     for ev in events {
-        let line = event_to_json(ev);
-        step(line.as_bytes());
-        step(b"\n");
+        serde_json::to_writer(&mut hash, ev).expect("hashing sink cannot fail");
+        hash.eat(b"\n");
     }
-    hash
+    hash.0
+}
+
+/// FNV-1a (64-bit) as an infallible byte sink.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x1_0000_01b3;
+
+    fn new() -> Self {
+        Fnv1a(Self::OFFSET)
+    }
+
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Self::PRIME);
+        }
+    }
+}
+
+impl std::io::Write for Fnv1a {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.eat(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Canonical single-line JSON for one event (insertion-ordered keys, no
@@ -619,8 +647,9 @@ mod tests {
         assert_eq!(log.dropped, 3);
     }
 
-    #[test]
-    fn json_roundtrip_all_variants() {
+    /// One event of every variant (and every optional/escalated shape),
+    /// stamped `seq = i`, `t_ns = 1000 + i`.
+    fn all_variants() -> Vec<Event> {
         let variants = vec![
             TraceEvent::Produce { pair: 3 },
             TraceEvent::Invoke {
@@ -722,15 +751,72 @@ mod tests {
             },
             TraceEvent::OverloadCleared { pair: 3, shed: 12 },
         ];
-        for (i, kind) in variants.into_iter().enumerate() {
-            let event = Event {
+        variants
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| Event {
                 seq: i as u64,
                 t_ns: 1_000 + i as u64,
                 kind,
-            };
+            })
+            .collect()
+    }
+
+    #[test]
+    fn json_roundtrip_all_variants() {
+        for event in all_variants() {
             let line = event_to_json(&event);
             let back = event_from_json(&line).expect("roundtrip parses");
             assert_eq!(back, event, "roundtrip mismatch for {line}");
+        }
+    }
+
+    /// Canonical bytes of every variant, pinned before the serialiser was
+    /// rewritten to stream: each line and the stream digest must never move.
+    const PINNED_LINES: [&str; 20] = [
+        r#"{"seq":0,"t_ns":1000,"kind":{"Produce":{"pair":3}}}"#,
+        r#"{"seq":1,"t_ns":1001,"kind":{"Invoke":{"pair":1,"trigger":"Overflow","batch":25,"capacity":50}}}"#,
+        r#"{"seq":2,"t_ns":1002,"kind":{"Flush":{"pair":0,"drained":7}}}"#,
+        r#"{"seq":3,"t_ns":1003,"kind":{"Wakeup":{"pair":2}}}"#,
+        r#"{"seq":4,"t_ns":1004,"kind":{"CoreSpan":{"core":1,"start_ns":10,"end_ns":20,"wakeup":true}}}"#,
+        r#"{"seq":5,"t_ns":1005,"kind":{"SlotSelect":{"pair":0,"core":0,"slot":41,"latched":true,"rate_overrun":false}}}"#,
+        r#"{"seq":6,"t_ns":1006,"kind":{"SlotReserve":{"core":0,"consumer":4,"slot":9,"prev":7}}}"#,
+        r#"{"seq":7,"t_ns":1007,"kind":{"SlotReserve":{"core":0,"consumer":4,"slot":9,"prev":null}}}"#,
+        r#"{"seq":8,"t_ns":1008,"kind":{"SlotRelease":{"core":1,"consumer":0,"slot":3}}}"#,
+        r#"{"seq":9,"t_ns":1009,"kind":{"SlotDispatch":{"core":0,"slot":12,"consumers":[0,2,4]}}}"#,
+        r#"{"seq":10,"t_ns":1010,"kind":{"BufferCreate":{"owner":0,"capacity":25,"pool_available":25,"pool_total":50}}}"#,
+        r#"{"seq":11,"t_ns":1011,"kind":{"BufferGrow":{"owner":1,"from":25,"to":30,"want":40,"pool_available":0}}}"#,
+        r#"{"seq":12,"t_ns":1012,"kind":{"BufferShrink":{"owner":1,"from":30,"to":10,"pool_available":20}}}"#,
+        r#"{"seq":13,"t_ns":1013,"kind":{"BufferDestroy":{"owner":1,"released":10,"pool_available":50}}}"#,
+        r#"{"seq":14,"t_ns":1014,"kind":{"FaultInjected":{"id":0,"kind":"pool_squeeze","pair":4294967295,"core":4294967295,"param":35,"pool_available":15}}}"#,
+        r#"{"seq":15,"t_ns":1015,"kind":{"FaultRecovered":{"id":0,"kind":"dropped_wakeup","pair":4294967295,"core":1,"param":4,"pool_available":18446744073709551615}}}"#,
+        r#"{"seq":16,"t_ns":1016,"kind":{"ItemShed":{"pair":3}}}"#,
+        r#"{"seq":17,"t_ns":1017,"kind":{"OverloadEntered":{"pair":3,"occupancy":47,"escalated":false}}}"#,
+        r#"{"seq":18,"t_ns":1018,"kind":{"OverloadEntered":{"pair":1,"occupancy":0,"escalated":true}}}"#,
+        r#"{"seq":19,"t_ns":1019,"kind":{"OverloadCleared":{"pair":3,"shed":12}}}"#,
+    ];
+
+    #[test]
+    fn canonical_bytes_are_pinned() {
+        let events = all_variants();
+        assert_eq!(events.len(), PINNED_LINES.len());
+        for (event, pinned) in events.iter().zip(PINNED_LINES) {
+            assert_eq!(event_to_json(event), pinned);
+        }
+        assert_eq!(digest(&events), 0x6bc9_7753_4928_1cf0);
+    }
+
+    #[test]
+    fn every_variant_prints_like_its_parsed_value() {
+        // The derived writer and the `Value` writer must agree byte for
+        // byte, compact and pretty.
+        for event in all_variants() {
+            let compact = event_to_json(&event);
+            let value: serde_json::Value = serde_json::from_str(&compact).unwrap();
+            assert_eq!(serde_json::to_string(&value).unwrap(), compact);
+            let pretty = serde_json::to_string_pretty(&event).unwrap();
+            let value: serde_json::Value = serde_json::from_str(&pretty).unwrap();
+            assert_eq!(serde_json::to_string_pretty(&value).unwrap(), pretty);
         }
     }
 

@@ -2,16 +2,24 @@
 //!
 //! The real crates are unavailable in this build environment, so this
 //! shim provides the exact surface the workspace uses: `Serialize` /
-//! `Deserialize` traits (plus same-named derive macros under the
-//! `derive` feature) over an ordered JSON [`Value`] tree. Object keys
-//! keep insertion order, so serialisation is deterministic — a property
-//! the suite determinism CI gate depends on.
+//! `Deserialize` traits plus same-named derive macros under the
+//! `derive` feature.
+//!
+//! Serialisation is direct: a [`Serialize`] impl streams its JSON into
+//! one shared [`Writer`] (compact or pretty), with no intermediate tree.
+//! Deserialisation goes through the ordered [`Value`] tree that
+//! `serde_json::from_str` parses into. Output depends only on the value
+//! and fields print in declaration order, so serialisation is
+//! byte-deterministic — a property the suite determinism CI gate
+//! depends on.
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
 
-/// An ordered JSON value. Objects preserve insertion order (no hashing),
-/// keeping output byte-deterministic.
+use std::io;
+
+/// An ordered JSON value: the parse target of `serde_json::from_str`.
+/// Objects preserve insertion order (no hashing).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -74,16 +82,237 @@ impl std::fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Types serialisable into a [`Value`].
+/// Types that write themselves as JSON.
 pub trait Serialize {
-    /// Converts `self` into a JSON value.
-    fn to_value(&self) -> Value;
+    /// Streams `self` into `out`. Container impls call
+    /// [`Writer::key`]/[`Writer::element`] before each entry; scalars
+    /// write just their token.
+    fn serialize<W: io::Write>(&self, out: &mut Writer<W>) -> io::Result<()>;
 }
 
 /// Types reconstructable from a [`Value`].
 pub trait Deserialize: Sized {
     /// Rebuilds `Self` from a JSON value.
     fn from_value(v: &Value) -> Result<Self, DeError>;
+}
+
+// -- the writer ----------------------------------------------------------
+
+/// The crate's one JSON formatter: streams tokens into an
+/// [`io::Write`] sink, compact (no whitespace) or pretty (2-space
+/// indent, `": "` after keys, like `serde_json`'s pretty printer).
+///
+/// Separators are emitted lazily — a `,` and, in pretty mode, the
+/// newline and indent are written only when the next entry starts, and
+/// a closing bracket is preceded by a newline only when its container
+/// has entries — so empty containers print `{}` and `[]`. Non-finite
+/// floats print `null`.
+pub struct Writer<W> {
+    out: W,
+    pretty: bool,
+    depth: usize,
+    /// The innermost open container has no entries yet.
+    empty: bool,
+}
+
+impl<W: io::Write> Writer<W> {
+    /// A writer emitting compact JSON.
+    pub fn compact(out: W) -> Self {
+        Writer {
+            out,
+            pretty: false,
+            depth: 0,
+            empty: true,
+        }
+    }
+
+    /// A writer emitting pretty JSON (2-space indent).
+    pub fn pretty(out: W) -> Self {
+        Writer {
+            pretty: true,
+            ..Writer::compact(out)
+        }
+    }
+
+    /// The sink, once serialisation is done.
+    pub fn into_inner(self) -> W {
+        self.out
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) -> io::Result<()> {
+        self.open(b"{")
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) -> io::Result<()> {
+        self.close(b"}")
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> io::Result<()> {
+        self.open(b"[")
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) -> io::Result<()> {
+        self.close(b"]")
+    }
+
+    /// Starts an object entry whose key is already quoted and escaped
+    /// (derived code passes string literals such as `"\"seq\""`).
+    pub fn raw_key(&mut self, quoted: &str) -> io::Result<()> {
+        self.separator()?;
+        self.out.write_all(quoted.as_bytes())?;
+        self.colon()
+    }
+
+    /// Starts an object entry with a key escaped at run time.
+    pub fn key(&mut self, key: &str) -> io::Result<()> {
+        self.separator()?;
+        self.string(key)?;
+        self.colon()
+    }
+
+    /// Starts an array element.
+    pub fn element(&mut self) -> io::Result<()> {
+        self.separator()
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> io::Result<()> {
+        self.out.write_all(b"null")
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> io::Result<()> {
+        self.out.write_all(if b { b"true" } else { b"false" })
+    }
+
+    /// Writes an unsigned integer.
+    pub fn u64(&mut self, mut n: u64) -> io::Result<()> {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.out.write_all(&digits[i..])
+    }
+
+    /// Writes a signed integer.
+    pub fn i64(&mut self, n: i64) -> io::Result<()> {
+        if n < 0 {
+            self.out.write_all(b"-")?;
+        }
+        self.u64(n.unsigned_abs())
+    }
+
+    /// Writes a float; non-finite values print `null`.
+    pub fn f64(&mut self, x: f64) -> io::Result<()> {
+        if x.is_finite() {
+            // `{:?}` keeps a trailing `.0` on integral floats and
+            // round-trips exactly, like serde_json's ryu output.
+            write!(self.out, "{x:?}")
+        } else {
+            self.null()
+        }
+    }
+
+    /// Writes a string, quoted and escaped.
+    pub fn string(&mut self, s: &str) -> io::Result<()> {
+        self.out.write_all(b"\"")?;
+        let bytes = s.as_bytes();
+        let mut run = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            let mut hex = *b"\\u0000";
+            let escape: &[u8] = match b {
+                b'"' => b"\\\"",
+                b'\\' => b"\\\\",
+                b'\n' => b"\\n",
+                b'\r' => b"\\r",
+                b'\t' => b"\\t",
+                0x08 => b"\\b",
+                0x0c => b"\\f",
+                0x00..=0x1f => {
+                    const HEX: &[u8; 16] = b"0123456789abcdef";
+                    hex[4] = HEX[usize::from(b >> 4)];
+                    hex[5] = HEX[usize::from(b & 0xf)];
+                    &hex
+                }
+                _ => continue,
+            };
+            // Every escaped byte is ASCII, so `run..i` never splits a
+            // multibyte character.
+            self.out.write_all(&bytes[run..i])?;
+            self.out.write_all(escape)?;
+            run = i + 1;
+        }
+        self.out.write_all(&bytes[run..])?;
+        self.out.write_all(b"\"")
+    }
+
+    /// Writes an already quoted and escaped string token (derived code
+    /// passes unit-variant names as literals such as `"\"Overflow\""`).
+    pub fn raw_str(&mut self, quoted: &str) -> io::Result<()> {
+        self.out.write_all(quoted.as_bytes())
+    }
+
+    /// Writes `items` as an array.
+    pub fn seq<'a, T: Serialize + 'a>(
+        &mut self,
+        items: impl IntoIterator<Item = &'a T>,
+    ) -> io::Result<()> {
+        self.begin_array()?;
+        for item in items {
+            self.element()?;
+            item.serialize(self)?;
+        }
+        self.end_array()
+    }
+
+    fn open(&mut self, bracket: &[u8]) -> io::Result<()> {
+        self.depth += 1;
+        self.empty = true;
+        self.out.write_all(bracket)
+    }
+
+    fn close(&mut self, bracket: &[u8]) -> io::Result<()> {
+        self.depth -= 1;
+        if self.pretty && !self.empty {
+            self.newline_indent()?;
+        }
+        // The enclosing container (if any) holds this one as an entry.
+        self.empty = false;
+        self.out.write_all(bracket)
+    }
+
+    fn separator(&mut self) -> io::Result<()> {
+        if !self.empty {
+            self.out.write_all(b",")?;
+        }
+        self.empty = false;
+        if self.pretty {
+            self.newline_indent()?;
+        }
+        Ok(())
+    }
+
+    fn colon(&mut self) -> io::Result<()> {
+        self.out.write_all(if self.pretty { b": " } else { b":" })
+    }
+
+    fn newline_indent(&mut self) -> io::Result<()> {
+        self.out.write_all(b"\n")?;
+        for _ in 0..self.depth {
+            self.out.write_all(b"  ")?;
+        }
+        Ok(())
+    }
 }
 
 // -- derive support helpers (stable API for generated code) ------------
@@ -122,8 +351,8 @@ pub fn expect_array<'a>(v: &'a Value, len: usize, type_name: &str) -> Result<&'a
 macro_rules! ser_de_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::UInt(*self as u64)
+            fn serialize<W: io::Write>(&self, out: &mut Writer<W>) -> io::Result<()> {
+                out.u64(*self as u64)
             }
         }
         impl Deserialize for $t {
@@ -143,13 +372,8 @@ macro_rules! ser_de_uint {
 macro_rules! ser_de_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let n = *self as i64;
-                if n >= 0 {
-                    Value::UInt(n as u64)
-                } else {
-                    Value::Int(n)
-                }
+            fn serialize<W: io::Write>(&self, out: &mut Writer<W>) -> io::Result<()> {
+                out.i64(*self as i64)
             }
         }
         impl Deserialize for $t {
@@ -172,8 +396,8 @@ ser_de_int!(i8, i16, i32, i64, isize);
 macro_rules! ser_de_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Float(*self as f64)
+            fn serialize<W: io::Write>(&self, out: &mut Writer<W>) -> io::Result<()> {
+                out.f64(*self as f64)
             }
         }
         impl Deserialize for $t {
@@ -193,8 +417,8 @@ macro_rules! ser_de_float {
 ser_de_float!(f32, f64);
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize<W: io::Write>(&self, out: &mut Writer<W>) -> io::Result<()> {
+        out.bool(*self)
     }
 }
 
@@ -208,8 +432,8 @@ impl Deserialize for bool {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize<W: io::Write>(&self, out: &mut Writer<W>) -> io::Result<()> {
+        out.string(self)
     }
 }
 
@@ -223,32 +447,32 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<W: io::Write>(&self, out: &mut Writer<W>) -> io::Result<()> {
+        out.string(self)
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<W: io::Write>(&self, out: &mut Writer<W>) -> io::Result<()> {
+        out.string(self.encode_utf8(&mut [0; 4]))
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize<W: io::Write>(&self, out: &mut Writer<W>) -> io::Result<()> {
+        (**self).serialize(out)
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize<W: io::Write>(&self, out: &mut Writer<W>) -> io::Result<()> {
+        out.seq(self)
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize<W: io::Write>(&self, out: &mut Writer<W>) -> io::Result<()> {
+        out.seq(self)
     }
 }
 
@@ -262,10 +486,10 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize<W: io::Write>(&self, out: &mut Writer<W>) -> io::Result<()> {
         match self {
-            Some(x) => x.to_value(),
-            None => Value::Null,
+            Some(x) => x.serialize(out),
+            None => out.null(),
         }
     }
 }
@@ -280,16 +504,21 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize<W: io::Write>(&self, out: &mut Writer<W>) -> io::Result<()> {
+        (**self).serialize(out)
     }
 }
 
 macro_rules! ser_de_tuple {
     ($(($($t:ident . $i:tt),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$i.to_value()),+])
+            fn serialize<W: io::Write>(&self, out: &mut Writer<W>) -> io::Result<()> {
+                out.begin_array()?;
+                $(
+                    out.element()?;
+                    self.$i.serialize(out)?;
+                )+
+                out.end_array()
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -314,8 +543,24 @@ ser_de_tuple! {
 }
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize<W: io::Write>(&self, out: &mut Writer<W>) -> io::Result<()> {
+        match self {
+            Value::Null => out.null(),
+            Value::Bool(b) => out.bool(*b),
+            Value::UInt(n) => out.u64(*n),
+            Value::Int(n) => out.i64(*n),
+            Value::Float(x) => out.f64(*x),
+            Value::Str(s) => out.string(s),
+            Value::Array(items) => out.seq(items),
+            Value::Object(entries) => {
+                out.begin_object()?;
+                for (key, value) in entries {
+                    out.key(key)?;
+                    value.serialize(out)?;
+                }
+                out.end_object()
+            }
+        }
     }
 }
 

@@ -1,7 +1,8 @@
 //! Offline stand-in for the real `serde_derive` (see `shims/README.md`).
 //!
-//! Generates `serde::Serialize` / `serde::Deserialize` impls against the
-//! shim's `Value` tree. Supports exactly the shapes this workspace
+//! Generates `serde::Serialize` impls that stream straight into the
+//! shim's `serde::Writer`, and `serde::Deserialize` impls that read the
+//! parsed `serde::Value` tree. Supports exactly the shapes this workspace
 //! derives on: non-generic named-field structs, tuple structs, unit
 //! structs, and enums with unit / named-field / tuple variants. No
 //! `#[serde(...)]` attributes (none are used in-tree).
@@ -25,33 +26,43 @@ enum Shape {
     },
 }
 
-/// Derives `serde::Serialize`.
+/// Derives `serde::Serialize`: a `serialize` body that writes each
+/// field straight into the `serde::Writer`, keys and variant names as
+/// pre-escaped string literals.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let shape = parse_shape(input);
-    let body = match &shape {
+    let (name, body) = match &shape {
         Shape::Struct { name, fields } => {
-            let expr = ser_fields_expr(fields, &SelfAccess);
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn to_value(&self) -> ::serde::Value {{ {expr} }}\n\
-                 }}"
-            )
+            let body = match fields {
+                Fields::Unit => "__out.null()".to_string(),
+                Fields::Named(names) => {
+                    let access: Vec<String> = names.iter().map(|f| format!("&self.{f}")).collect();
+                    ser_object(names, &access)
+                }
+                Fields::Tuple(n) => {
+                    let access: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+                    ser_tuple(&access)
+                }
+            };
+            (name, body)
         }
         Shape::Enum { name, variants } => {
             let arms: String = variants
                 .iter()
                 .map(|(v, fields)| ser_variant_arm(name, v, fields))
                 .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn to_value(&self) -> ::serde::Value {{ match self {{ {arms} }} }}\n\
-                 }}"
-            )
+            (name, format!("match self {{ {arms} }}"))
         }
     };
-    body.parse()
-        .expect("serde_derive: generated Serialize impl must parse")
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+         fn serialize<__W: ::std::io::Write>(&self, __out: &mut ::serde::Writer<__W>) \
+         -> ::std::io::Result<()> {{ {body} }}\n\
+         }}"
+    )
+    .parse()
+    .expect("serde_derive: generated Serialize impl must parse")
 }
 
 /// Derives `serde::Deserialize`.
@@ -113,89 +124,65 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
         .expect("serde_derive: generated Deserialize impl must parse")
 }
 
-/// How serialisation code reaches the fields: `&self.f` for structs,
-/// bound names for enum-variant match arms.
-struct SelfAccess;
-
-impl SelfAccess {
-    fn named(&self, field: &str) -> String {
-        format!("&self.{field}")
-    }
-    fn indexed(&self, index: usize) -> String {
-        format!("&self.{index}")
-    }
+/// `name` as a quoted JSON string literal, itself written as a Rust
+/// string literal (`Overflow` → `"\"Overflow\""`).
+fn quoted(name: &str) -> String {
+    format!("{:?}", format!("\"{name}\""))
 }
 
-fn ser_fields_expr(fields: &Fields, access: &SelfAccess) -> String {
-    match fields {
-        Fields::Unit => "::serde::Value::Null".to_string(),
-        Fields::Named(names) => {
-            let entries: String = names
-                .iter()
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from({f:?}), \
-                         ::serde::Serialize::to_value({})),",
-                        access.named(f)
-                    )
-                })
-                .collect();
-            format!("::serde::Value::Object(::std::vec![{entries}])")
-        }
-        Fields::Tuple(1) => format!("::serde::Serialize::to_value({})", access.indexed(0)),
-        Fields::Tuple(n) => {
-            let items: String = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value({}),", access.indexed(i)))
-                .collect();
-            format!("::serde::Value::Array(::std::vec![{items}])")
-        }
-    }
+/// Statements writing `{"f": <value>, ...}`; `access[i]` is an
+/// expression borrowing field `names[i]`.
+fn ser_object(names: &[String], access: &[String]) -> String {
+    let entries: String = names
+        .iter()
+        .zip(access)
+        .map(|(f, a)| {
+            format!(
+                "__out.raw_key({})?; ::serde::Serialize::serialize({a}, __out)?; ",
+                quoted(f)
+            )
+        })
+        .collect();
+    format!("__out.begin_object()?; {entries}__out.end_object()")
 }
 
+/// Statements writing a tuple body: a newtype writes its one field
+/// bare, any other arity an array.
+fn ser_tuple(access: &[String]) -> String {
+    if let [only] = access {
+        return format!("::serde::Serialize::serialize({only}, __out)");
+    }
+    let items: String = access
+        .iter()
+        .map(|a| format!("__out.element()?; ::serde::Serialize::serialize({a}, __out)?; "))
+        .collect();
+    format!("__out.begin_array()?; {items}__out.end_array()")
+}
+
+/// One match arm: unit variants print as a string, data variants as
+/// a one-entry object tagged with the variant name.
 fn ser_variant_arm(enum_name: &str, variant: &str, fields: &Fields) -> String {
-    let tag = |inner: String| {
-        format!(
-            "::serde::Value::Object(::std::vec![\
-             (::std::string::String::from({variant:?}), {inner})])"
-        )
-    };
-    match fields {
-        Fields::Unit => format!(
-            "{enum_name}::{variant} => \
-             ::serde::Value::Str(::std::string::String::from({variant:?})),\n"
-        ),
-        Fields::Named(names) => {
-            let binds = names.join(", ");
-            let entries: String = names
-                .iter()
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from({f:?}), \
-                         ::serde::Serialize::to_value({f})),"
-                    )
-                })
-                .collect();
-            let inner = format!("::serde::Value::Object(::std::vec![{entries}])");
-            format!("{enum_name}::{variant} {{ {binds} }} => {},\n", tag(inner))
+    let (pattern, inner) = match fields {
+        Fields::Unit => {
+            return format!(
+                "{enum_name}::{variant} => __out.raw_str({}),\n",
+                quoted(variant)
+            )
         }
-        Fields::Tuple(1) => format!(
-            "{enum_name}::{variant}(f0) => {},\n",
-            tag("::serde::Serialize::to_value(f0)".to_string())
+        Fields::Named(names) => (
+            format!("{{ {} }}", names.join(", ")),
+            ser_object(names, names),
         ),
         Fields::Tuple(n) => {
             let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
-            let items: String = binds
-                .iter()
-                .map(|b| format!("::serde::Serialize::to_value({b}),"))
-                .collect();
-            let inner = format!("::serde::Value::Array(::std::vec![{items}])");
-            format!(
-                "{enum_name}::{variant}({}) => {},\n",
-                binds.join(", "),
-                tag(inner)
-            )
+            (format!("({})", binds.join(", ")), ser_tuple(&binds))
         }
-    }
+    };
+    format!(
+        "{enum_name}::{variant} {pattern} => {{ __out.begin_object()?; \
+         __out.raw_key({})?; {inner}?; __out.end_object() }}\n",
+        quoted(variant)
+    )
 }
 
 /// Expression constructing `ctor ...` (e.g. `Row ` or `StrategyKind::Pbp `)

@@ -1,14 +1,16 @@
 //! Offline stand-in for `serde_json` (see `shims/README.md`).
 //!
-//! Deterministic JSON writer and a recursive-descent parser over the
-//! serde shim's ordered [`Value`]. Output formatting mirrors
+//! Serialisation streams through the serde shim's [`serde::Writer`]
+//! straight into a byte sink — no intermediate tree. Parsing is a
+//! recursive-descent parser into the shim's ordered [`Value`], which
+//! `Deserialize` impls then read. Output formatting mirrors
 //! `serde_json`'s conventions (2-space pretty indent, non-finite floats
 //! as `null`) and depends only on the value — identical values always
 //! print identical bytes, which the suite determinism gate relies on.
 
 pub use serde::Value;
-use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
+use serde::{Deserialize, Serialize, Writer};
+use std::io;
 
 /// Serialisation/deserialisation error: a plain message.
 #[derive(Debug, Clone)]
@@ -22,18 +24,39 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+impl From<io::Error> for Error {
+    fn from(e: io::Error) -> Error {
+        Error(e.to_string())
+    }
+}
+
+/// Serialises `value` as compact JSON into `writer`.
+pub fn to_writer<W: io::Write, T: Serialize + ?Sized>(writer: W, value: &T) -> Result<(), Error> {
+    value.serialize(&mut Writer::compact(writer))?;
+    Ok(())
+}
+
 /// Serialises `value` to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None);
-    Ok(out)
+    into_string(value, Writer::compact(line_buffer()))
 }
 
 /// Serialises `value` to pretty JSON (2-space indent).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(0));
-    Ok(out)
+    into_string(value, Writer::pretty(line_buffer()))
+}
+
+/// An output buffer a typical trace line fits in without regrowing.
+fn line_buffer() -> Vec<u8> {
+    Vec::with_capacity(128)
+}
+
+fn into_string<T: Serialize + ?Sized>(
+    value: &T,
+    mut writer: Writer<Vec<u8>>,
+) -> Result<String, Error> {
+    value.serialize(&mut writer)?;
+    String::from_utf8(writer.into_inner()).map_err(|e| Error(e.to_string()))
 }
 
 /// Parses JSON text into a `T`.
@@ -42,113 +65,17 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     T::from_value(&value).map_err(|e| Error(e.0))
 }
 
-// -- writer ------------------------------------------------------------
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::UInt(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::Int(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::Float(x) => {
-            if x.is_finite() {
-                // `{:?}` keeps a trailing `.0` on integral floats and
-                // round-trips exactly, like serde_json's ryu output.
-                let _ = write!(out, "{x:?}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if let Some(level) = indent {
-                    newline_indent(out, level + 1);
-                }
-                write_value(out, item, indent.map(|l| l + 1));
-            }
-            if let Some(level) = indent {
-                newline_indent(out, level);
-            }
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if let Some(level) = indent {
-                    newline_indent(out, level + 1);
-                }
-                write_string(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent.map(|l| l + 1));
-            }
-            if let Some(level) = indent {
-                newline_indent(out, level);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, level: usize) {
-    out.push('\n');
-    for _ in 0..level {
-        out.push_str("  ");
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 // -- parser ------------------------------------------------------------
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 fn parse_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -269,13 +196,20 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash as one
+            // slice: both are ASCII, so the run ends on a char boundary.
+            let run = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err(Error("unterminated string".into())),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -311,14 +245,6 @@ impl<'a> Parser<'a> {
                         }
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error("invalid UTF-8".into()))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -362,6 +288,95 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    #[derive(Serialize)]
+    struct Marker;
+
+    #[derive(Serialize)]
+    struct Newtype(u32);
+
+    #[derive(Serialize)]
+    enum Shape {
+        Dot,
+        Pair(i32, u64),
+        Wrap(f64),
+        Named { on: bool, label: Option<String> },
+    }
+
+    #[derive(Serialize)]
+    struct Sample {
+        x: f64,
+        maybe: Option<u32>,
+        items: Vec<i64>,
+        none: Vec<u8>,
+        shape: Shape,
+        marker: Marker,
+        id: Newtype,
+        pair: (u8, String),
+    }
+
+    fn sample(x: f64, shape: Shape) -> Sample {
+        Sample {
+            x,
+            maybe: (x > 0.0).then_some(7),
+            items: vec![-3, 0, i64::MAX],
+            none: Vec::new(),
+            shape,
+            marker: Marker,
+            id: Newtype(42),
+            pair: (1, "tab\there".to_string()),
+        }
+    }
+
+    /// The derived path and the `Value` path print the same bytes:
+    /// `x` re-printed after a parse into `Value` is unchanged, compact
+    /// and pretty.
+    fn assert_writer_equivalent<T: Serialize>(x: &T) {
+        let compact = to_string(x).unwrap();
+        let value: Value = from_str(&compact).unwrap();
+        assert_eq!(to_string(&value).unwrap(), compact);
+        let pretty = to_string_pretty(x).unwrap();
+        let value: Value = from_str(&pretty).unwrap();
+        assert_eq!(to_string_pretty(&value).unwrap(), pretty);
+    }
+
+    #[test]
+    fn derived_and_value_paths_print_identical_bytes() {
+        let shapes = || {
+            [
+                Shape::Dot,
+                Shape::Pair(-1, u64::MAX),
+                Shape::Wrap(0.5),
+                Shape::Named {
+                    on: true,
+                    label: None,
+                },
+                Shape::Named {
+                    on: false,
+                    label: Some("é\"q\"".to_string()),
+                },
+            ]
+        };
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 1.0, 1e300] {
+            for shape in shapes() {
+                assert_writer_equivalent(&sample(x, shape));
+            }
+        }
+        assert_writer_equivalent(&Marker);
+        assert_writer_equivalent(&Newtype(3));
+        assert_eq!(
+            to_string(&sample(-0.0, Shape::Dot)).unwrap(),
+            r#"{"x":-0.0,"maybe":null,"items":[-3,0,9223372036854775807],"none":[],"shape":"Dot","marker":null,"id":42,"pair":[1,"tab\there"]}"#
+        );
+        assert_eq!(
+            to_string(&Shape::Pair(-1, 2)).unwrap(),
+            r#"{"Pair":[-1,2]}"#
+        );
+        assert_eq!(
+            to_string(&Shape::Wrap(f64::NAN)).unwrap(),
+            r#"{"Wrap":null}"#
+        );
+    }
+
     #[test]
     fn round_trips_compact_and_pretty() {
         let v = Value::Object(vec![
@@ -380,6 +395,26 @@ mod tests {
     }
 
     #[test]
+    fn strings_round_trip_escapes_multibyte_and_long_runs() {
+        let mut s = String::from("é😀\"\\\n\r\t\u{8}\u{c}\u{1}\u{1f}/ü");
+        s.push_str(&"x".repeat(1 << 20));
+        s.push_str("😀é");
+        let text = to_string(&s).unwrap();
+        assert!(text.starts_with(r#""é😀\"\\\n\r\t\b\f\u0001\u001f/ü"#));
+        assert_eq!(from_str::<String>(&text).unwrap(), s);
+        let v = Value::Array(vec![Value::Str(s.clone())]);
+        assert_eq!(from_str::<Value>(&to_string(&v).unwrap()).unwrap(), v);
+    }
+
+    #[test]
+    fn to_writer_streams_the_compact_bytes() {
+        let v = sample(2.0, Shape::Pair(1, 2));
+        let mut out = Vec::new();
+        to_writer(&mut out, &v).unwrap();
+        assert_eq!(out, to_string(&v).unwrap().into_bytes());
+    }
+
+    #[test]
     fn non_finite_floats_print_null() {
         assert_eq!(to_string(&f64::NAN).unwrap(), "null");
         assert_eq!(to_string(&f64::INFINITY).unwrap(), "null");
@@ -391,6 +426,38 @@ mod tests {
         assert_eq!(
             to_string_pretty(&v).unwrap(),
             "{\n  \"k\": [\n    1\n  ]\n}"
+        );
+        assert_eq!(
+            to_string_pretty(&sample(
+                1.0,
+                Shape::Named {
+                    on: true,
+                    label: None
+                }
+            ))
+            .unwrap(),
+            r#"{
+  "x": 1.0,
+  "maybe": 7,
+  "items": [
+    -3,
+    0,
+    9223372036854775807
+  ],
+  "none": [],
+  "shape": {
+    "Named": {
+      "on": true,
+      "label": null
+    }
+  },
+  "marker": null,
+  "id": 42,
+  "pair": [
+    1,
+    "tab\there"
+  ]
+}"#
         );
     }
 }
