@@ -14,19 +14,17 @@
 //!   rest: the slot-reservation pattern (PBPL latch cancels) that drove
 //!   the heap's tombstone compaction.
 //!
-//! A third scenario races the *arrival* path specifically (DESIGN.md
-//! §14): M pre-sorted per-source streams merged to exhaustion, with
-//! each popped arrival immediately replaced by its source's next — the
-//! exact access pattern of `System::schedule_next_produce`. `wheel_` is
-//! the retired route (every arrival a wheel event); `calendar_` is the
-//! `ArrivalCalendar` tournament-tree merge the engine now uses, at
-//! M ∈ {10, 100, 1000} matching the scale sweep's fleet sizes.
+//! A third scenario times the *arrival* path specifically (DESIGN.md
+//! §14): M pre-sorted per-source streams merged to exhaustion on the
+//! wheel, with each popped arrival immediately replaced by its source's
+//! next — the exact access pattern of `System::schedule_next_produce`,
+//! at M ∈ {10, 100, 1000} matching the scale sweep's fleet sizes.
 //!
 //! The heap model mirrors `crates/sim/tests/wheel_model.rs` — the
 //! retired implementation reduced to its semantics.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pc_sim::{ArrivalCalendar, EventQueue, SimTime};
+use pc_sim::{EventQueue, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
@@ -214,36 +212,6 @@ fn bench_arrival_merge(c: &mut Criterion) {
                         if remaining[s] > 0 {
                             cursor[s] += 1 + mix(&mut rng) % 4096;
                             q.schedule(SimTime::from_nanos(cursor[s]), s);
-                        }
-                    }
-                    assert_eq!(popped, total);
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("calendar_merge", sources),
-            &sources,
-            |b, &m| {
-                b.iter(|| {
-                    let mut cal = ArrivalCalendar::new();
-                    let mut rng = 42u64;
-                    let mut cursor = vec![0u64; m];
-                    let mut remaining = vec![ARRIVALS_PER_SOURCE; m];
-                    let mut seq = 0u64;
-                    for (s, c) in cursor.iter_mut().enumerate() {
-                        *c = mix(&mut rng) % 4096;
-                        cal.set(s, *c, seq);
-                        seq += 1;
-                    }
-                    let mut popped = 0u64;
-                    while let Some((_, _, s)) = cal.pop() {
-                        popped += 1;
-                        let s = s as usize;
-                        remaining[s] -= 1;
-                        if remaining[s] > 0 {
-                            cursor[s] += 1 + mix(&mut rng) % 4096;
-                            cal.set(s, cursor[s], seq);
-                            seq += 1;
                         }
                     }
                     assert_eq!(popped, total);

@@ -312,8 +312,8 @@ fn main() {
                     wall_ms: cell_wall,
                     scheduler: {
                         // Closed scheduler ledger — shedding must not
-                        // unbalance it (shed items still ride the
-                        // arrival calendar; DESIGN.md §14, §15).
+                        // unbalance it (a shed item was still popped as
+                        // an arrival; DESIGN.md §14, §15).
                         assert!(
                             metrics.scheduler.ledger_balanced(),
                             "scheduler ledger out of balance: {:?}",

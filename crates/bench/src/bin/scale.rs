@@ -77,7 +77,7 @@ struct ScaleTiming {
     /// v2: added `filters`, per-point `utilization` / `worker_busy_ms`
     /// / `cell_timings` (scheduler counters).
     /// v3: per-point `fleet_gen_ms` (fleet generation hoisted out of
-    /// `wall_ms`); `QueueStats` gained the arrival-calendar counters
+    /// `wall_ms`); `QueueStats` gained the arrival counters
     /// and `pending_at_teardown` (DESIGN.md §14).
     /// v4: `QueueStats` gained `items_shed` (overload control,
     /// DESIGN.md §15; zero whenever the layer is disabled — always,
@@ -303,7 +303,7 @@ fn main() {
         for (cell, m) in cells.iter().zip(&runs) {
             // Closed scheduler ledger: every event the cell scheduled is
             // popped, cancelled, or reported pending at teardown — a
-            // drift here means the wheel or calendar dropped work.
+            // drift here means the wheel dropped work.
             assert!(
                 m.scheduler.ledger_balanced(),
                 "scale {} {} seed={}: scheduler ledger out of balance: {:?}",

@@ -214,7 +214,7 @@ struct ExperimentTiming {
 struct SuiteTiming {
     /// v2: added `filters`, per-experiment `utilization` /
     /// `worker_busy_ms` / `cell_timings` (scheduler counters).
-    /// v3: `QueueStats` gained the arrival-calendar counters
+    /// v3: `QueueStats` gained the arrival counters
     /// (`arrivals_scheduled` / `arrivals_popped`) and
     /// `pending_at_teardown` (DESIGN.md §14).
     /// v4: `QueueStats` gained `items_shed` (overload control,

@@ -8,7 +8,7 @@
 
 use pc_core::{RunMetrics, StrategyKind};
 use pc_sim::SimDuration;
-use pc_stats::Summary;
+use pc_stats::{HalfWidth, Summary};
 use pc_trace::WorldCupConfig;
 use serde::Serialize;
 
@@ -172,11 +172,11 @@ pub fn print_row(r: &Row) {
         "{:>6} | {:>8.1} ±{:>6.1} | {:>8.1} ±{:>6.1} | {:>7.2} ±{:>5.2} | {:>12.0} | {:>12.0} | {:>9.1} | {:>10.0}",
         r.name,
         r.power_mw.mean,
-        r.power_mw.ci95.half_width,
+        HalfWidth(r.power_mw.ci95.half_width),
         r.wakeups_per_sec.mean,
-        r.wakeups_per_sec.ci95.half_width,
+        HalfWidth(r.wakeups_per_sec.ci95.half_width),
         r.usage_ms_per_sec.mean,
-        r.usage_ms_per_sec.ci95.half_width,
+        HalfWidth(r.usage_ms_per_sec.ci95.half_width),
         r.scheduled.mean,
         r.overflows.mean,
         r.mean_capacity.mean,

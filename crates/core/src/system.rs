@@ -35,10 +35,10 @@ use pc_trace::{Trace, WorldCupConfig};
 use pc_trace_events::{TraceEvent, TraceHandle, Trigger as TraceTrigger};
 use std::sync::Arc;
 
-/// Simulation events routed through the timer wheel. Workload arrivals
-/// are *not* events: they ride the engine's arrival calendar
-/// ([`pc_sim::ArrivalCalendar`], DESIGN.md §14) and surface as
-/// [`Popped::Arrival`] in the main loop, keyed by pair index.
+/// Simulation timer events. Workload arrivals are not `Ev`s: they are
+/// filed with [`Engine::schedule_arrival`] on the same timer wheel
+/// (DESIGN.md §14) and surface as [`Popped::Arrival`] in the main loop,
+/// keyed by pair index.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// An item-driven consumer finishes its current drain window.
@@ -440,10 +440,8 @@ impl Sim {
             // guard makes shared (untruncated) fleet views behave
             // identically.
             if t < self.end {
-                // Arrivals bypass the timer wheel: the calendar files the
-                // pair's cursor head under a wheel-shared sequence number,
-                // so the merged pop order is identical to the retired
-                // one-wheel-event-per-item design (DESIGN.md §14).
+                // One pending arrival per pair: the cursor head, on the
+                // wheel like any timer (DESIGN.md §14).
                 self.engine.schedule_arrival(t, i as u32);
             }
         }
@@ -1253,7 +1251,7 @@ impl Sim {
         // Admission control (DESIGN.md §15): a shed item still counts as
         // produced (the `Produce` event above already fired) but never
         // reaches the strategy — conservation becomes
-        // `produced == consumed + shed`. The calendar pop ledger is
+        // `produced == consumed + shed`. The arrival pop ledger is
         // untouched: the arrival was popped either way, and the next one
         // is scheduled below exactly as for an admitted item.
         if self.overload.is_some() && !self.overload_admit(pair, t) {
@@ -1455,10 +1453,10 @@ impl Sim {
         let items_shed: u64 = self.pairs.iter().map(|p| p.metrics.items_shed).sum();
         let mut scheduler = self.engine.queue_stats();
         // Stamped by the Sim at teardown, like the engine stamps the
-        // arrival-calendar counters: sheds happen after the pop, so they
+        // arrival counters: sheds happen after the pop, so they
         // sit outside the ledger equation but ride the same struct.
         scheduler.items_shed = items_shed;
-        // Every scheduled event (wheel + calendar) must be accounted for:
+        // Every scheduled event (timer or arrival) must be accounted for:
         // popped, cancelled, or still pending at teardown (events past
         // `end`, e.g. a DrainDone continuation of the final drain).
         // Silent losses would mean the wheel dropped work.

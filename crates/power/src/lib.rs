@@ -17,25 +17,18 @@
 //!   baseline" metric.
 //! * [`meter`] — a PowerTop-like sampler producing wakeups/s and usage
 //!   (ms/s) series over windows.
-//! * [`pstate`] — §II background made computable: P-states (P = C·V²·f),
-//!   the race-to-idle energy comparison, and the paper's Figure 1
-//!   grouped-vs-fragmented wakeup analysis.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod account;
 pub mod cstate;
-pub mod export;
 pub mod governor;
 pub mod meter;
 pub mod model;
-pub mod pstate;
 
 pub use account::{account_core, account_cores, EnergyReport};
 pub use cstate::{CState, CStateLadder};
-pub use export::{meter_csv, timeline_csv};
 pub use governor::{GovernorKind, IdleGovernor, MenuGovernor, OracleGovernor};
 pub use meter::{Meter, MeterSample};
 pub use model::PowerModel;
-pub use pstate::{fig1_grouping_comparison, PState, PStateTable};

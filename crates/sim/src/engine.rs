@@ -28,33 +28,31 @@
 //! Keeping state outside the engine sidesteps the usual borrow tangle of
 //! callback-based designs and makes system models plain, testable structs.
 
-use crate::arrival::ArrivalCalendar;
 use crate::event::{EventId, EventQueue, QueueStats};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use pc_trace_events::TraceHandle;
 
 /// One event handed out by [`Engine::next_merged_before`]: either a
-/// workload arrival from the calendar front-end (identified by its
-/// source index — the payload is the caller's cursor state) or a
-/// dynamic event from the timer wheel.
+/// workload arrival (identified by its source index — the payload is
+/// the caller's cursor state) or a dynamic timer event. Both ride the
+/// same timer wheel; the variant only tells the ledger apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Popped<E> {
     /// The next pre-filed arrival of `source` (see
     /// [`Engine::schedule_arrival`]).
     Arrival(u32),
-    /// A wheel event (timers, drains, slot wakes, fault edges).
+    /// A timer event (timers, drains, slot wakes, fault edges).
     Timer(E),
 }
 
 /// Event queue + clock + deterministic RNG. See the module docs for the
 /// driver-loop idiom.
 pub struct Engine<E> {
-    queue: EventQueue<E>,
-    /// Merge front-end for pre-sorted workload arrivals (DESIGN.md §14).
-    /// Shares the wheel's sequence counter, so the merged pop reproduces
-    /// the exact `(time, seq)` order of an all-through-the-wheel run.
-    arrivals: ArrivalCalendar,
+    /// Every pending event, arrivals included (DESIGN.md §14).
+    queue: EventQueue<Popped<E>>,
+    arrivals_scheduled: u64,
+    arrivals_popped: u64,
     now: SimTime,
     rng: SimRng,
     trace: TraceHandle,
@@ -65,7 +63,8 @@ impl<E> Engine<E> {
     pub fn new(seed: u64) -> Self {
         Engine {
             queue: EventQueue::new(),
-            arrivals: ArrivalCalendar::new(),
+            arrivals_scheduled: 0,
+            arrivals_popped: 0,
             now: SimTime::ZERO,
             rng: SimRng::new(seed),
             trace: TraceHandle::disabled(),
@@ -100,13 +99,13 @@ impl<E> Engine<E> {
             "scheduling into the past: {at} < {}",
             self.now
         );
-        self.queue.schedule(at, ev)
+        self.queue.schedule(at, Popped::Timer(ev))
     }
 
     /// Schedules `ev` to fire `after` from now.
     pub fn schedule_after(&mut self, after: SimDuration, ev: E) -> EventId {
         let at = self.now.saturating_add(after);
-        self.queue.schedule(at, ev)
+        self.queue.schedule(at, Popped::Timer(ev))
     }
 
     /// Cancels a pending event.
@@ -114,75 +113,50 @@ impl<E> Engine<E> {
         self.queue.cancel(id)
     }
 
-    /// Files the next arrival of `source` at absolute time `at`. The
-    /// arrival consumes a sequence number from the *same* counter wheel
-    /// events use, at the exact point this call is made — so a run that
-    /// files arrivals here pops the bit-identical `(time, seq)` stream
-    /// of a run that pushed them through [`Engine::schedule_at`]. At
-    /// most one arrival per source may be pending (the cursor
-    /// discipline); arrivals cannot be cancelled.
+    /// Files the next arrival of `source` at absolute time `at`. It is
+    /// an ordinary wheel event, ordered by `(time, seq)` with timers,
+    /// and surfaces as [`Popped::Arrival`]; only the ledger
+    /// ([`Engine::queue_stats`]) counts it apart. Arrivals are facts of
+    /// the workload, so no handle is returned: they cannot be cancelled.
     pub fn schedule_arrival(&mut self, at: SimTime, source: u32) {
         debug_assert!(
             at >= self.now,
             "arrival scheduled into the past: {at} < {}",
             self.now
         );
-        let seq = self.queue.take_seq();
-        self.arrivals.set(source as usize, at.as_nanos(), seq);
+        self.arrivals_scheduled += 1;
+        self.queue.schedule(at, Popped::Arrival(source));
     }
 
     /// Pops the next event if it fires at or before `deadline`, advancing
-    /// the clock to its timestamp.
+    /// the clock to its timestamp. For drivers that file no arrivals:
+    /// popping one here panics.
     pub fn next_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        let (t, ev) = self.queue.pop_until(deadline)?;
-        debug_assert!(t >= self.now, "time went backwards");
-        self.now = t;
-        self.trace.set_now(t.as_nanos());
-        Some((t, ev))
-    }
-
-    /// Pops the earliest of `min(arrivals.peek(), wheel.peek())` — the
-    /// global `(time, seq)` minimum across both backends — if it fires
-    /// at or before `deadline`, advancing the clock to its timestamp.
-    /// Deadline misses pop nothing and leave the clock untouched,
-    /// exactly like [`Engine::next_before`].
-    pub fn next_merged_before(&mut self, deadline: SimTime) -> Option<(SimTime, Popped<E>)> {
-        // Sequence numbers are globally unique across both backends, so
-        // a strict key comparison is a total order; equal times resolve
-        // by schedule order, exactly as the wheel alone would.
-        let take_arrival = match (self.arrivals.peek(), self.queue.peek_key()) {
-            (Some((aa, aseq, _)), Some((wa, wseq))) => (aa, aseq) < (wa, wseq),
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if take_arrival {
-            let (at, _seq, source) = self.arrivals.peek().expect("checked above");
-            let t = SimTime::from_nanos(at);
-            if t > deadline {
-                return None;
-            }
-            self.arrivals.pop();
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.trace.set_now(at);
-            Some((t, Popped::Arrival(source)))
-        } else {
-            let (t, ev) = self.queue.pop_until(deadline)?;
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.trace.set_now(t.as_nanos());
-            Some((t, Popped::Timer(ev)))
+        match self.next_merged_before(deadline)? {
+            (t, Popped::Timer(ev)) => Some((t, ev)),
+            (_, Popped::Arrival(_)) => panic!("next_before popped an arrival"),
         }
     }
 
-    /// Pops the next event unconditionally, advancing the clock.
-    #[allow(clippy::should_implement_trait)] // not an Iterator: &mut self with side effects on the clock
-    pub fn next(&mut self) -> Option<(SimTime, E)> {
-        let (t, ev) = self.queue.pop()?;
+    /// Pops the next event — arrival or timer — if it fires at or before
+    /// `deadline`, advancing the clock to its timestamp. Deadline misses
+    /// pop nothing and leave the clock untouched.
+    pub fn next_merged_before(&mut self, deadline: SimTime) -> Option<(SimTime, Popped<E>)> {
+        let (t, ev) = self.queue.pop_until(deadline)?;
         debug_assert!(t >= self.now, "time went backwards");
+        if let Popped::Arrival(_) = ev {
+            self.arrivals_popped += 1;
+        }
         self.now = t;
         self.trace.set_now(t.as_nanos());
         Some((t, ev))
+    }
+
+    /// Pops the next event unconditionally, advancing the clock. Like
+    /// [`Engine::next_before`], for drivers that file no arrivals.
+    #[allow(clippy::should_implement_trait)] // not an Iterator: &mut self with side effects on the clock
+    pub fn next(&mut self) -> Option<(SimTime, E)> {
+        self.next_before(SimTime::MAX)
     }
 
     /// Timestamp of the earliest pending event.
@@ -190,21 +164,23 @@ impl<E> Engine<E> {
         self.queue.peek_time()
     }
 
-    /// Number of pending events (wheel and arrival calendar).
+    /// Number of pending events, arrivals included.
     pub fn pending(&self) -> usize {
-        self.queue.len() + self.arrivals.len()
+        self.queue.len()
     }
 
     /// Deterministic scheduler operation counters (see
-    /// [`QueueStats`]) accumulated since the engine was created:
-    /// wheel counters plus the arrival calendar's, with
-    /// `pending_at_teardown` covering both backends — so the snapshot
-    /// always satisfies [`QueueStats::ledger_balanced`].
+    /// [`QueueStats`]) accumulated since the engine was created. The
+    /// wheel's `scheduled`/`popped` are reported net of arrivals, which
+    /// get their own `arrivals_*` fields; `pending_at_teardown` covers
+    /// both. The snapshot always satisfies
+    /// [`QueueStats::ledger_balanced`].
     pub fn queue_stats(&self) -> QueueStats {
         let mut stats = self.queue.stats();
-        stats.arrivals_scheduled = self.arrivals.scheduled();
-        stats.arrivals_popped = self.arrivals.popped();
-        stats.pending_at_teardown += self.arrivals.len() as u64;
+        stats.scheduled -= self.arrivals_scheduled;
+        stats.popped -= self.arrivals_popped;
+        stats.arrivals_scheduled = self.arrivals_scheduled;
+        stats.arrivals_popped = self.arrivals_popped;
         stats
     }
 
@@ -266,12 +242,12 @@ mod tests {
     }
 
     #[test]
-    fn merged_pop_interleaves_arrivals_and_timers_by_key() {
+    fn merged_pop_orders_arrivals_and_timers_by_schedule_on_ties() {
         let mut eng = Engine::new(1);
-        eng.schedule_arrival(SimTime::from_nanos(5), 0); // seq 0
-        eng.schedule_at(SimTime::from_nanos(5), "timer@5"); // seq 1
-        eng.schedule_arrival(SimTime::from_nanos(3), 1); // seq 2
-        eng.schedule_at(SimTime::from_nanos(1), "timer@1"); // seq 3
+        eng.schedule_arrival(SimTime::from_nanos(5), 0);
+        eng.schedule_at(SimTime::from_nanos(5), "timer@5");
+        eng.schedule_arrival(SimTime::from_nanos(3), 1);
+        eng.schedule_at(SimTime::from_nanos(1), "timer@1");
         let deadline = SimTime::from_secs(1);
         let mut got = Vec::new();
         while let Some((t, ev)) = eng.next_merged_before(deadline) {
@@ -283,7 +259,7 @@ mod tests {
                 (1, Popped::Timer("timer@1")),
                 (3, Popped::Arrival(1)),
                 // Same nanosecond: the arrival was scheduled first, so
-                // its shared seq (0) wins the FIFO tie against seq 1.
+                // it wins the wheel's FIFO tie.
                 (5, Popped::Arrival(0)),
                 (5, Popped::Timer("timer@5")),
             ]
@@ -298,7 +274,7 @@ mod tests {
     }
 
     #[test]
-    fn merged_deadline_miss_pops_nothing_for_either_backend() {
+    fn merged_deadline_miss_pops_nothing() {
         let mut eng = Engine::<()>::new(1);
         eng.schedule_arrival(SimTime::from_secs(2), 0);
         assert!(eng.next_merged_before(SimTime::from_secs(1)).is_none());

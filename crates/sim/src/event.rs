@@ -65,27 +65,30 @@ pub struct EventId {
 /// never on the host, thread count or wall-clock.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueueStats {
-    /// Events scheduled.
+    /// Events scheduled (timers only in an `Engine` snapshot; arrivals
+    /// go to `arrivals_scheduled`).
     pub scheduled: u64,
     /// Events cancelled while still pending.
     pub cancelled: u64,
-    /// Events popped (fired).
+    /// Events popped (fired; timers only in an `Engine` snapshot).
     pub popped: u64,
     /// Bucket cascades: a coarse bucket (level ≥ 1, or the overflow list)
     /// redistributed into finer levels as the wheel turned past it.
+    /// Arrivals and timers share buckets, so this counts both.
     pub cascades: u64,
     /// Full-queue rebuilds. Always 0 for the timer wheel — cancellation
     /// unlinks in place, so there are no tombstones to compact away. The
     /// counter is retained (and asserted zero in tests) as the proof that
     /// the heap's compaction path is gone.
     pub compactions: u64,
-    /// Workload arrivals filed through the calendar front-end
-    /// (DESIGN.md §14) instead of the wheel. Zero for a bare
-    /// [`EventQueue`]; stamped by `Engine::queue_stats`.
+    /// Workload arrivals scheduled through `Engine::schedule_arrival`.
+    /// They ride the wheel like every other event, but the engine
+    /// counts them here instead of in `scheduled` (DESIGN.md §14).
+    /// Zero for a bare [`EventQueue`]; stamped by `Engine::queue_stats`.
     pub arrivals_scheduled: u64,
-    /// Workload arrivals popped from the calendar front-end.
+    /// Workload arrivals popped, counted here instead of in `popped`.
     pub arrivals_popped: u64,
-    /// Events (wheel + calendar) still pending when this snapshot was
+    /// Events (timers and arrivals) still pending when this snapshot was
     /// taken. Named for its load-bearing reading: a run's end-of-run
     /// stats count the events it scheduled but never processed (e.g. a
     /// `DrainDone` whose drain window outlives the horizon).
@@ -93,19 +96,19 @@ pub struct QueueStats {
     /// Arrivals shed by the admission controller (DESIGN.md §15).
     /// Zero for a bare [`EventQueue`] and for every run with overload
     /// control disabled; stamped by the simulation at teardown. A shed
-    /// arrival was still *popped* from the calendar — the rejection
-    /// happens in the produce handler after the pop — so this counter
-    /// sits outside the [`ledger_balanced`](Self::ledger_balanced)
-    /// equation and the ledger closes with or without sheds.
+    /// arrival was still *popped* — the rejection happens in the
+    /// produce handler after the pop — so this counter sits outside
+    /// the [`ledger_balanced`](Self::ledger_balanced) equation and the
+    /// ledger closes with or without sheds.
     pub items_shed: u64,
 }
 
 impl QueueStats {
     /// The scheduler conservation ledger: every event ever accepted —
-    /// through the wheel or the calendar — is popped, cancelled, or
-    /// still pending at the snapshot. The bench harnesses and the
-    /// replay tooling assert this at end-of-run; a miss means a counter
-    /// leak, not a tolerable rounding.
+    /// timer or arrival — is popped, cancelled, or still pending at the
+    /// snapshot. The bench harnesses and the replay tooling assert this
+    /// at end-of-run; a miss means a counter leak, not a tolerable
+    /// rounding.
     pub fn ledger_balanced(&self) -> bool {
         self.scheduled + self.arrivals_scheduled
             == self.popped + self.arrivals_popped + self.cancelled + self.pending_at_teardown
@@ -250,39 +253,22 @@ impl<E> EventQueue<E> {
         true
     }
 
-    /// The earliest pending event time, if any.
+    /// The earliest pending event time, if any. May drain buckets into
+    /// staging, but never pops.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek_key().map(|(at, _)| SimTime::from_nanos(at))
-    }
-
-    /// The `(time_ns, seq)` key of the earliest pending event — the
-    /// wheel's side of the merged pop with the arrival calendar
-    /// (DESIGN.md §14). Like [`EventQueue::peek_time`] this may drain
-    /// buckets into staging, but it never pops.
-    pub fn peek_key(&mut self) -> Option<(u64, u64)> {
         loop {
-            while let Some(&(at, seq, idx)) = self.staging.last() {
+            while let Some(&(at, _, idx)) = self.staging.last() {
                 if self.nodes[idx as usize].loc == Loc::Dead {
                     self.staging.pop();
                     self.release(idx);
                     continue;
                 }
-                return Some((at, seq));
+                return Some(SimTime::from_nanos(at));
             }
             if !self.refill() {
                 return None;
             }
         }
-    }
-
-    /// Consumes one sequence number from the queue's tie-break counter
-    /// without scheduling anything. The arrival calendar draws its seqs
-    /// here so wheel events and arrivals share one global `(time, seq)`
-    /// total order — the linchpin of the bit-identical merged pop.
-    pub fn take_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
     }
 
     /// Pops the earliest pending event.

@@ -10,12 +10,10 @@
 //!   durations ([`SimDuration`]) with checked/saturating arithmetic.
 //! * [`event`] — a cancellable priority event queue ([`EventQueue`]) with
 //!   stable FIFO ordering for simultaneous events.
-//! * [`arrival`] — the arrival-calendar merge front-end
-//!   ([`ArrivalCalendar`]): pre-sorted per-source workload arrivals
-//!   merged in O(log M) per item, popped by the engine in one
-//!   `(time, seq)` total order with the wheel (DESIGN.md §14).
 //! * [`engine`] — a thin driver ([`Engine`]) combining the queue with a
-//!   monotonic clock, used by higher-level system models.
+//!   monotonic clock, used by higher-level system models. Workload
+//!   arrivals ride the same queue as timers and surface as
+//!   [`Popped::Arrival`] (DESIGN.md §14).
 //! * [`core`] — per-core activity accounting ([`Core`]): merged active
 //!   spans, wakeup counting and an idle/active interval timeline that the
 //!   `pc-power` crate integrates into energy figures.
@@ -33,7 +31,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod arrival;
 pub mod core;
 pub mod engine;
 pub mod event;
@@ -42,7 +39,6 @@ pub mod rng;
 pub mod time;
 pub mod timer;
 
-pub use crate::arrival::ArrivalCalendar;
 pub use crate::core::{Core, CoreId, CoreState, StateInterval};
 pub use crate::engine::{Engine, Popped};
 pub use crate::event::{EventId, EventQueue, QueueStats};

@@ -1,31 +1,31 @@
-//! Property-based equivalence of the arrival-calendar merge front-end
-//! (`Engine::schedule_arrival` + `next_merged_before`, DESIGN.md §14)
-//! against the retired all-through-the-wheel design.
+//! Workload arrivals on the timer wheel (`Engine::schedule_arrival` +
+//! `next_merged_before`, DESIGN.md §14).
 //!
-//! The reference engine below schedules every workload arrival as an
-//! ordinary wheel event, exactly as `System::schedule_next_produce` did
-//! before the calendar existed. The front-end engine routes the same
-//! arrivals through `schedule_arrival` and pops the merged stream. The
-//! two must agree on *every* observable, over arbitrary interleavings
-//! of per-source sorted arrival streams, dynamic timers landing on the
-//! same instants (exact `(time, seq)` ties are the fragile invariant),
-//! timer cancellations, and early deadlines:
+//! Arrivals are ordinary wheel events wrapped in `Popped::Arrival`; the
+//! engine keeps them apart from dynamic timers only in its ledger. Two
+//! checks pin that:
 //!
-//! * pop order — time, payload kind, and source/timer identity;
-//! * trace digests — both engines stamp a recorder and the FNV digests
-//!   of the recorded streams must match bit-for-bit;
-//! * `QueueStats` — the merged ledger (`scheduled + arrivals_scheduled
-//!   == popped + arrivals_popped + cancelled + pending_at_teardown`)
-//!   must balance on the front end, and its totals must equal the
-//!   reference's wheel-only ledger.
+//! * a proptest drives the production engine and a reference engine
+//!   that schedules every arrival as a plain `schedule_at` event — the
+//!   design the engine now has inside — over arbitrary interleavings of
+//!   per-source sorted arrival streams, timers landing on the same
+//!   instants (exact `(time, seq)` ties), cancellations and early
+//!   deadlines. Pop stream (times, payloads, pending counts) and trace
+//!   digest must agree, the `Popped` mapping must match the reference payloads, and
+//!   the production `QueueStats` must split the reference's wheel-only
+//!   totals into arrival and timer halves that still balance;
+//! * a pinned test replays a few fixed scripts and asserts an FNV digest
+//!   of each `(time, kind, id)` pop stream and the final `QueueStats`,
+//!   so a change to the kernel's pop order cannot pass unnoticed.
 
-use pc_sim::{Engine, Popped, SimTime};
+use pc_sim::{Engine, EventId, Popped, QueueStats, SimTime};
 use pc_trace_events::{Recorder, TraceEvent};
 use proptest::prelude::*;
+use std::sync::Arc;
 
-/// What the reference engine carries through the wheel. The front-end
-/// engine carries only `Timer` payloads — its arrivals ride the
-/// calendar.
+/// One pop, in the reference engine's vocabulary: the reference carries
+/// these through the wheel, the production engine hands out the
+/// matching `Popped` variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RefEv {
     Arrival(u32),
@@ -42,14 +42,157 @@ struct Script {
     /// Per-pop timer action, consumed round-robin: `None` = no timer,
     /// `Some((offset, cancel))` schedules a timer `offset` ns after the
     /// current clock and immediately cancels it if `cancel` — cancelled
-    /// timers leave dead husks the merged peek must drain past.
+    /// timers leave dead husks the peek must drain past.
     timers: Vec<Option<(u64, bool)>>,
+    /// Arrivals and timers are armed only strictly before this time.
+    horizon: u64,
+    /// Pops stop after this time (≤ `horizon`); whatever is still armed
+    /// is pending at teardown.
+    deadline: u64,
+}
+
+/// The scheduling surface both engines are driven through.
+trait Driver {
+    fn arm_arrival(&mut self, at: SimTime, source: u32);
+    fn arm_timer(&mut self, at: SimTime, k: u32) -> EventId;
+    fn cancel_timer(&mut self, id: EventId) -> bool;
+    fn pop(&mut self, deadline: SimTime) -> Option<(SimTime, RefEv)>;
+    fn pending(&self) -> usize;
+    fn stats(&self) -> QueueStats;
+}
+
+/// The production route: arrivals through `schedule_arrival`, pops
+/// through `next_merged_before`.
+impl Driver for Engine<u32> {
+    fn arm_arrival(&mut self, at: SimTime, source: u32) {
+        self.schedule_arrival(at, source);
+    }
+    fn arm_timer(&mut self, at: SimTime, k: u32) -> EventId {
+        self.schedule_at(at, k)
+    }
+    fn cancel_timer(&mut self, id: EventId) -> bool {
+        self.cancel(id)
+    }
+    fn pop(&mut self, deadline: SimTime) -> Option<(SimTime, RefEv)> {
+        self.next_merged_before(deadline).map(|(t, p)| {
+            let ev = match p {
+                Popped::Arrival(s) => RefEv::Arrival(s),
+                Popped::Timer(k) => RefEv::Timer(k),
+            };
+            (t, ev)
+        })
+    }
+    fn pending(&self) -> usize {
+        Engine::pending(self)
+    }
+    fn stats(&self) -> QueueStats {
+        self.queue_stats()
+    }
+}
+
+/// The reference route: every arrival a plain wheel event.
+impl Driver for Engine<RefEv> {
+    fn arm_arrival(&mut self, at: SimTime, source: u32) {
+        self.schedule_at(at, RefEv::Arrival(source));
+    }
+    fn arm_timer(&mut self, at: SimTime, k: u32) -> EventId {
+        self.schedule_at(at, RefEv::Timer(k))
+    }
+    fn cancel_timer(&mut self, id: EventId) -> bool {
+        self.cancel(id)
+    }
+    fn pop(&mut self, deadline: SimTime) -> Option<(SimTime, RefEv)> {
+        self.next_before(deadline)
+    }
+    fn pending(&self) -> usize {
+        Engine::pending(self)
+    }
+    fn stats(&self) -> QueueStats {
+        self.queue_stats()
+    }
+}
+
+/// Everything observable about one scripted run.
+#[derive(Debug)]
+struct Run {
+    /// `(time_ns, pop, pending after the pop's follow-up scheduling)`.
+    pops: Vec<(u64, RefEv, usize)>,
+    /// Timers scheduled (cancelled or not).
+    timers: u32,
+    trace_digest: u64,
+    stats: QueueStats,
+}
+
+/// Plays `script` on `eng`, arming each source's next arrival right
+/// after its previous one pops, as `System::produce` does.
+fn drive<D: Driver>(eng: &mut D, rec: &Arc<Recorder>, script: &Script) -> Run {
+    let horizon = script.horizon;
+    let deadline = SimTime::from_nanos(script.deadline);
+    let sources = script.gaps.len();
+    let mut next_idx = vec![0usize; sources];
+    for s in 0..sources {
+        if let Some(&at) = script.gaps[s].first() {
+            if at < horizon {
+                eng.arm_arrival(SimTime::from_nanos(at), s as u32);
+            }
+        }
+    }
+    let mut pops = Vec::new();
+    let mut timer_cursor = 0usize;
+    let mut timers = 0u32;
+    while let Some((t, ev)) = eng.pop(deadline) {
+        let now = t.as_nanos();
+        match ev {
+            RefEv::Arrival(s) => {
+                rec.handle().record(|| TraceEvent::Produce { pair: s });
+                let s = s as usize;
+                next_idx[s] += 1;
+                if let Some(&gap) = script.gaps[s].get(next_idx[s]) {
+                    if now + gap < horizon {
+                        eng.arm_arrival(SimTime::from_nanos(now + gap), s as u32);
+                    }
+                }
+            }
+            RefEv::Timer(k) => rec.handle().record(|| TraceEvent::Wakeup { pair: k }),
+        }
+        if let Some(&Some((offset, cancel))) = script.timers.get(timer_cursor) {
+            if now + offset < horizon {
+                let id = eng.arm_timer(SimTime::from_nanos(now + offset), timers);
+                timers += 1;
+                if cancel {
+                    assert!(eng.cancel_timer(id), "fresh timer must cancel");
+                }
+            }
+        }
+        timer_cursor = (timer_cursor + 1) % script.timers.len().max(1);
+        pops.push((now, ev, eng.pending()));
+    }
+    let log = rec.take();
+    assert_eq!(log.dropped, 0);
+    Run {
+        pops,
+        timers,
+        trace_digest: log.digest(),
+        stats: eng.stats(),
+    }
+}
+
+/// Plays `script` on a fresh engine: `run::<u32>` is the production
+/// route, `run::<RefEv>` the reference.
+fn run<E>(script: &Script) -> Run
+where
+    Engine<E>: Driver,
+{
+    let rec = Recorder::bounded(1 << 16);
+    let mut eng = Engine::<E>::new(7);
+    eng.set_trace(rec.handle());
+    drive(&mut eng, &rec, script)
 }
 
 fn script_strategy() -> impl Strategy<Value = Script> {
     // Gaps on a coarse grid so sources collide on exact nanoseconds
     // (and timers below land on the same grid): FIFO-by-seq tie order
-    // across the calendar/wheel boundary is the point of the test.
+    // between arrivals and timers is the point of the test.
     let gaps = prop::collection::vec(
         prop::collection::vec((0u64..12).prop_map(|k| k * 256), 1..40),
         1..12,
@@ -62,159 +205,215 @@ fn script_strategy() -> impl Strategy<Value = Script> {
         ],
         1..64,
     );
-    (gaps, timers).prop_map(|(gaps, timers)| Script { gaps, timers })
+    let horizon = 1u64 << 14;
+    // Half the cases pop to the horizon, half stop early and leave
+    // arrivals and timers pending at teardown.
+    let deadline = prop_oneof![Just(horizon), 0..horizon];
+    (gaps, timers, deadline).prop_map(move |(gaps, timers, deadline)| Script {
+        gaps,
+        timers,
+        horizon,
+        deadline,
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
     #[test]
-    fn front_end_matches_all_through_wheel_reference(script in script_strategy()) {
-        let end = SimTime::from_nanos(1 << 14);
-        let sources = script.gaps.len();
-
-        let front_rec = Recorder::bounded(1 << 16);
-        let mut front: Engine<u32> = Engine::new(7);
-        front.set_trace(front_rec.handle());
-
-        let refr_rec = Recorder::bounded(1 << 16);
-        let mut refr: Engine<RefEv> = Engine::new(7);
-        refr.set_trace(refr_rec.handle());
-
-        // Cursor state, shared by both drivers.
-        let mut next_idx = vec![0usize; sources];
-        let mut cursor_time = vec![0u64; sources];
-        let arrival_at = |s: usize, idx: usize, base: u64| -> Option<u64> {
-            script.gaps[s].get(idx).map(|g| base + g)
-        };
-        // Arm each source's first arrival on both engines, in the same
-        // order so the shared-counter seq assignment matches.
-        for s in 0..sources {
-            if let Some(at) = arrival_at(s, 0, 0) {
-                if at < end.as_nanos() {
-                    front.schedule_arrival(SimTime::from_nanos(at), s as u32);
-                    refr.schedule_at(SimTime::from_nanos(at), RefEv::Arrival(s as u32));
-                }
-            }
+    fn arrivals_pop_like_plain_wheel_events(script in script_strategy()) {
+        let prod = run::<u32>(&script);
+        let refr = run::<RefEv>(&script);
+        if let Some(i) = (0..prod.pops.len().max(refr.pops.len()))
+            .find(|&i| prod.pops.get(i) != refr.pops.get(i))
+        {
+            prop_assert!(
+                false,
+                "pop {} diverged: {:?} vs {:?}",
+                i,
+                prod.pops.get(i),
+                refr.pops.get(i)
+            );
         }
+        prop_assert_eq!(prod.trace_digest, refr.trace_digest, "trace digests diverged");
 
-        let mut timer_cursor = 0usize;
-        let mut next_timer_id = 0u32;
-        let mut pops = 0usize;
-        loop {
-            let got = front.next_merged_before(end);
-            let want = refr.next_before(end);
-            match (got, want) {
-                (None, None) => break,
-                (Some((ft, fp)), Some((rt, rp))) => {
-                    prop_assert_eq!(ft, rt, "pop time diverged at pop {}", pops);
-                    let fp = match fp {
-                        Popped::Arrival(s) => RefEv::Arrival(s),
-                        Popped::Timer(k) => RefEv::Timer(k),
-                    };
-                    prop_assert_eq!(fp, rp, "pop payload diverged at pop {}", pops);
-                    prop_assert_eq!(front.now(), refr.now(), "clocks diverged");
-                    match fp {
-                        RefEv::Arrival(s) => {
-                            let s = s as usize;
-                            front_rec.handle().record(|| TraceEvent::Produce { pair: s as u32 });
-                            refr_rec.handle().record(|| TraceEvent::Produce { pair: s as u32 });
-                            // Advance the source cursor and arm the next
-                            // arrival at the same program point on both
-                            // engines, as `System::produce` does.
-                            cursor_time[s] = ft.as_nanos();
-                            next_idx[s] += 1;
-                            if let Some(at) = arrival_at(s, next_idx[s], cursor_time[s]) {
-                                if at < end.as_nanos() {
-                                    front.schedule_arrival(SimTime::from_nanos(at), s as u32);
-                                    refr.schedule_at(
-                                        SimTime::from_nanos(at),
-                                        RefEv::Arrival(s as u32),
-                                    );
-                                }
-                            }
-                        }
-                        RefEv::Timer(k) => {
-                            front_rec.handle().record(|| TraceEvent::Wakeup { pair: k });
-                            refr_rec.handle().record(|| TraceEvent::Wakeup { pair: k });
-                        }
-                    }
-                    // Dynamic timer action: same decision on both sides.
-                    if let Some(&Some((offset, cancel))) = script.timers.get(timer_cursor) {
-                        let at = ft.as_nanos() + offset;
-                        if at < end.as_nanos() {
-                            let k = next_timer_id;
-                            next_timer_id += 1;
-                            let fid = front.schedule_at(SimTime::from_nanos(at), k);
-                            let rid = refr.schedule_at(SimTime::from_nanos(at), RefEv::Timer(k));
-                            if cancel {
-                                prop_assert!(front.cancel(fid));
-                                prop_assert!(refr.cancel(rid));
-                            }
-                        }
-                    }
-                    timer_cursor = (timer_cursor + 1) % script.timers.len();
-                }
-                (got, want) => {
-                    prop_assert!(false, "pop presence diverged: {:?} vs {:?}", got, want);
-                }
-            }
-            pops += 1;
-            prop_assert_eq!(front.pending(), refr.pending(), "pending diverged");
-        }
-
-        // Trace digests: identical clock stamps and payloads.
-        let front_log = front_rec.take();
-        let refr_log = refr_rec.take();
-        prop_assert_eq!(front_log.dropped, 0);
-        prop_assert_eq!(refr_log.dropped, 0);
-        prop_assert_eq!(front_log.digest(), refr_log.digest(), "trace digests diverged");
-
-        // QueueStats: the merged ledger balances, and wheel + calendar
-        // totals equal the reference's wheel-only totals.
-        let fs = front.queue_stats();
-        let rs = refr.queue_stats();
-        prop_assert!(fs.ledger_balanced(), "front-end ledger out of balance: {:?}", fs);
+        let (ps, rs) = (prod.stats, refr.stats);
+        prop_assert!(ps.ledger_balanced(), "production ledger out of balance: {:?}", ps);
         prop_assert!(rs.ledger_balanced(), "reference ledger out of balance: {:?}", rs);
-        prop_assert_eq!(
-            fs.scheduled + fs.arrivals_scheduled,
-            rs.scheduled,
-            "total scheduled diverged"
-        );
-        prop_assert_eq!(
-            fs.popped + fs.arrivals_popped,
-            rs.popped,
-            "total popped diverged"
-        );
-        prop_assert_eq!(fs.cancelled, rs.cancelled);
-        prop_assert_eq!(fs.pending_at_teardown, rs.pending_at_teardown);
-        // Arrivals that popped before `end` did so from the calendar,
-        // never the wheel: the front-end wheel saw only timers.
-        prop_assert_eq!(fs.scheduled, u64::from(next_timer_id));
+        // The split: the production wheel-side fields count timers only,
+        // the arrival fields count arrivals only, and together they are
+        // the reference's wheel-only totals.
+        prop_assert_eq!(ps.scheduled, u64::from(prod.timers));
+        prop_assert_eq!(ps.scheduled + ps.arrivals_scheduled, rs.scheduled);
+        prop_assert_eq!(ps.popped + ps.arrivals_popped, rs.popped);
+        let arrival_pops = prod
+            .pops
+            .iter()
+            .filter(|(_, ev, _)| matches!(ev, RefEv::Arrival(_)))
+            .count() as u64;
+        prop_assert_eq!(ps.arrivals_popped, arrival_pops);
+        prop_assert_eq!(rs.arrivals_scheduled, 0);
+        prop_assert_eq!(rs.arrivals_popped, 0);
+        prop_assert_eq!(ps.cancelled, rs.cancelled);
+        prop_assert_eq!(ps.pending_at_teardown, rs.pending_at_teardown);
+        // Same wheel contents, so the same wheel work.
+        prop_assert_eq!(ps.cascades, rs.cascades);
+        prop_assert_eq!(ps.compactions, 0);
     }
 }
 
-/// Deterministic spot check of the one asymmetry the proptest cannot
-/// pin: a deadline landing *between* the calendar head and the wheel
-/// head must leave both engines' clocks untouched and pop nothing.
+/// FNV-1a (64-bit) over each pop's `(time_ns, kind, id)`, little-endian,
+/// kind 0 = arrival, 1 = timer.
+fn pop_stream_digest(pops: &[(u64, RefEv, usize)]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &(t, ev, _) in pops {
+        let (kind, id) = match ev {
+            RefEv::Arrival(s) => (0u8, s),
+            RefEv::Timer(k) => (1u8, k),
+        };
+        let bytes = t
+            .to_le_bytes()
+            .into_iter()
+            .chain([kind])
+            .chain(id.to_le_bytes());
+        for b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x1_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Fixed scripts with the FNV digest of their `(time, kind, id)` pop
+/// stream and their final `QueueStats`, captured on the retired
+/// arrival-calendar kernel. Only `levels`' `cascades` differs from that
+/// capture (10 there): arrivals now share the wheel's buckets.
+fn pinned_scripts() -> Vec<(&'static str, Script, u64, QueueStats)> {
+    vec![
+        (
+            // Sources and timers collide on exact nanoseconds: FIFO by
+            // schedule order across arrivals and timers.
+            "ties",
+            Script {
+                gaps: vec![
+                    vec![0, 256, 0, 512, 256, 0, 768],
+                    vec![256, 0, 256, 0, 0, 512],
+                    vec![512, 512, 0, 256],
+                ],
+                timers: vec![Some((0, false)), None, Some((256, false)), Some((0, false))],
+                horizon: 1 << 14,
+                deadline: 1 << 14,
+            },
+            0x29d7_8e1d_467f_b2ac,
+            QueueStats {
+                scheduled: 49,
+                popped: 49,
+                arrivals_scheduled: 17,
+                arrivals_popped: 17,
+                ..QueueStats::default()
+            },
+        ),
+        (
+            // Cancelled timers leave husks in bucket and staging alike.
+            "cancels",
+            Script {
+                gaps: vec![
+                    vec![100, 300, 300, 300, 300, 300, 300],
+                    vec![0, 1024, 1024, 1024],
+                ],
+                timers: vec![Some((0, true)), Some((256, false)), Some((512, true)), None],
+                horizon: 1 << 14,
+                deadline: 1 << 14,
+            },
+            0xdd27_4e34_ad8f_13fa,
+            QueueStats {
+                scheduled: 12,
+                cancelled: 8,
+                popped: 4,
+                arrivals_scheduled: 11,
+                arrivals_popped: 11,
+                ..QueueStats::default()
+            },
+        ),
+        (
+            // The deadline cuts the run short: arrivals and timers are
+            // still pending at teardown.
+            "early_deadline",
+            Script {
+                gaps: vec![vec![1000; 12], vec![1500; 9], vec![700; 16]],
+                timers: vec![Some((300, false)), Some((2000, false)), None],
+                horizon: 1 << 14,
+                deadline: 5_000,
+            },
+            0x1541_a076_193e_9a10,
+            QueueStats {
+                scheduled: 18,
+                popped: 12,
+                arrivals_scheduled: 18,
+                arrivals_popped: 15,
+                pending_at_teardown: 9,
+                ..QueueStats::default()
+            },
+        ),
+        (
+            // Millisecond gaps span several wheel levels, so arrivals
+            // and timers cascade.
+            "levels",
+            Script {
+                gaps: vec![
+                    vec![1_000_000, 3_000_000, 70_000_000, 0, 200_000_000],
+                    vec![65_536, 4_194_304, 0, 4_194_304, 90_000_000],
+                ],
+                timers: vec![Some((5_000_000, false)), Some((300_000_000, true)), None],
+                horizon: 1 << 30,
+                deadline: 1 << 30,
+            },
+            0xa4a7_c89b_d259_2e24,
+            QueueStats {
+                scheduled: 10,
+                cancelled: 5,
+                popped: 5,
+                cascades: 21,
+                arrivals_scheduled: 10,
+                arrivals_popped: 10,
+                ..QueueStats::default()
+            },
+        ),
+    ]
+}
+
 #[test]
-fn deadline_between_heads_pops_nothing() {
-    let mut front: Engine<u32> = Engine::new(1);
-    front.schedule_arrival(SimTime::from_nanos(5_000), 0);
-    front.schedule_at(SimTime::from_nanos(2_000), 9);
-    // Wheel head (2 µs) pops; calendar head (5 µs) is past the deadline.
-    let (t, ev) = front
-        .next_merged_before(SimTime::from_nanos(3_000))
-        .unwrap();
+fn pinned_pop_streams() {
+    for (name, script, digest, stats) in pinned_scripts() {
+        let got = run::<u32>(&script);
+        assert_eq!(
+            pop_stream_digest(&got.pops),
+            digest,
+            "{name}: pop stream changed"
+        );
+        assert_eq!(got.stats, stats, "{name}: final QueueStats changed");
+        assert!(got.stats.ledger_balanced(), "{name}: ledger out of balance");
+    }
+}
+
+/// Deterministic spot check of a deadline landing between two pending
+/// events: the earlier pops, the later stays pending, and a miss leaves
+/// the clock untouched.
+#[test]
+fn deadline_between_pending_events_pops_nothing() {
+    let mut eng: Engine<u32> = Engine::new(1);
+    eng.schedule_arrival(SimTime::from_nanos(5_000), 0);
+    eng.schedule_at(SimTime::from_nanos(2_000), 9);
+    // The timer (2 µs) pops; the arrival (5 µs) is past the deadline.
+    let (t, ev) = eng.next_merged_before(SimTime::from_nanos(3_000)).unwrap();
     assert_eq!((t.as_nanos(), ev), (2_000, Popped::Timer(9)));
-    assert_eq!(front.next_merged_before(SimTime::from_nanos(3_000)), None);
+    assert_eq!(eng.next_merged_before(SimTime::from_nanos(3_000)), None);
     assert_eq!(
-        front.now(),
+        eng.now(),
         SimTime::from_nanos(2_000),
         "clock must not move on a miss"
     );
-    assert_eq!(front.pending(), 1);
-    let stats = front.queue_stats();
+    assert_eq!(eng.pending(), 1);
+    let stats = eng.queue_stats();
     assert_eq!(stats.arrivals_scheduled, 1);
     assert_eq!(stats.arrivals_popped, 0);
     assert_eq!(stats.pending_at_teardown, 1);

@@ -148,7 +148,23 @@ impl ConfidenceInterval {
 
 impl std::fmt::Display for ConfidenceInterval {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:.3} ± {:.3}", self.mean, self.half_width)
+        write!(f, "{:.3} ± {:.3}", self.mean, HalfWidth(self.half_width))
+    }
+}
+
+/// Display adapter for a half-width: formats like the `f64` (width and
+/// precision included) when finite, and as `-` otherwise — one replicate
+/// has no interval, and a summary line never prints `NaN`.
+#[derive(Debug, Clone, Copy)]
+pub struct HalfWidth(pub f64);
+
+impl std::fmt::Display for HalfWidth {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.0.is_finite() {
+            std::fmt::Display::fmt(&self.0, f)
+        } else {
+            f.pad("-")
+        }
     }
 }
 
@@ -238,6 +254,9 @@ mod tests {
         let ci = confidence_interval(&[5.0], ConfidenceLevel::P95);
         assert_eq!(ci.mean, 5.0);
         assert!(ci.half_width.is_nan());
+        assert_eq!(ci.to_string(), "5.000 ± -");
+        assert_eq!(format!("{:>6.1}", HalfWidth(ci.half_width)), "     -");
+        assert_eq!(format!("{:>6.1}", HalfWidth(2.25)), "   2.2");
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //!   interval for 3 replicates).
 //! * [`corr`] — Pearson correlation plus the t-test for its significance.
 //! * [`regression`] — ordinary least squares for trend lines.
-//! * [`histogram`] — fixed-width histograms for latency distributions.
 //! * [`summary`] — a `mean ± half-width` presentation type used by every
 //!   experiment runner.
 //! * [`ttest`] — the paired t-test for same-seed strategy comparisons.
@@ -22,15 +21,13 @@
 pub mod ci;
 pub mod corr;
 pub mod descriptive;
-pub mod histogram;
 pub mod regression;
 pub mod summary;
 pub mod ttest;
 
-pub use ci::{confidence_interval, t_critical, ConfidenceInterval, ConfidenceLevel};
+pub use ci::{confidence_interval, t_critical, ConfidenceInterval, ConfidenceLevel, HalfWidth};
 pub use corr::{correlation_significance, pearson, CorrelationTest};
 pub use descriptive::{mean, sample_std_dev, sample_variance, std_error};
-pub use histogram::Histogram;
 pub use regression::{linear_fit, LinearFit};
 pub use summary::Summary;
 pub use ttest::{paired_t_test, PairedTTest};

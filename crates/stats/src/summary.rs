@@ -2,7 +2,7 @@
 //! runner prints, mirroring how the paper tabulates its three-replicate
 //! measurements.
 
-use crate::ci::{confidence_interval, ConfidenceInterval, ConfidenceLevel};
+use crate::ci::{confidence_interval, ConfidenceInterval, ConfidenceLevel, HalfWidth};
 use crate::descriptive::{max, mean, min, sample_std_dev};
 use serde::{Deserialize, Serialize};
 
@@ -58,7 +58,7 @@ impl std::fmt::Display for Summary {
             "{}: {:.3} ± {:.3} (n={}, min {:.3}, max {:.3})",
             self.name,
             self.mean,
-            self.ci95.half_width,
+            HalfWidth(self.ci95.half_width),
             self.samples.len(),
             self.min,
             self.max
@@ -100,5 +100,15 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("wakeups"));
         assert!(text.contains("n=2"));
+    }
+
+    #[test]
+    fn display_of_one_sample_prints_dash_not_nan() {
+        let s = Summary::of("power", &[10.0]);
+        assert!(s.ci95.half_width.is_nan());
+        assert_eq!(
+            s.to_string(),
+            "power: 10.000 ± - (n=1, min 10.000, max 10.000)"
+        );
     }
 }

@@ -39,8 +39,8 @@ impl Trace {
     }
 
     /// The `idx`-th production timestamp, if any. Cursor accessor for
-    /// the arrival-calendar front-end (DESIGN.md §14): the sim advances
-    /// a per-pair index through a shared fleet trace one item at a time,
+    /// the sim's arrival path (DESIGN.md §14): the sim advances a
+    /// per-pair index through a shared fleet trace one item at a time,
     /// so this must stay a bounds-checked load with no slice round-trip
     /// or cloning.
     #[inline]
