@@ -45,6 +45,7 @@
 use pc_trace_events::{Event, TraceEvent, TraceLog, TRACE_SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::io;
 
 /// Outcome of one oracle pass over a trace.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -592,6 +593,31 @@ pub fn line_from_json(text: &str) -> Result<TraceLine, String> {
     serde_json::from_str(text).map_err(|e| e.to_string())
 }
 
+/// Streams one cell of a JSONL trace export into `out`: its header
+/// line, then one line per event — each the bytes [`line_to_json`]
+/// gives, newline-terminated — without cloning an event or building a
+/// `String` per line. Every sweep's `--trace` export and the golden
+/// fixtures are written through here.
+pub fn write_cell(out: &mut impl io::Write, meta: &CellMeta, events: &[Event]) -> io::Result<()> {
+    write_line(out, &LineRef::Cell(meta))?;
+    for ev in events {
+        write_line(out, &LineRef::Ev(ev))?;
+    }
+    Ok(())
+}
+
+fn write_line(out: &mut impl io::Write, line: &LineRef<'_>) -> io::Result<()> {
+    serde_json::to_writer(&mut *out, line).map_err(io::Error::other)?;
+    out.write_all(b"\n")
+}
+
+/// A [`TraceLine`] over borrowed payloads; serialises to the same bytes.
+#[derive(Serialize)]
+enum LineRef<'a> {
+    Cell(&'a CellMeta),
+    Ev(&'a Event),
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1073,6 +1099,229 @@ mod tests {
             let pretty = serde_json::to_string_pretty(&line).unwrap();
             let value: serde_json::Value = serde_json::from_str(&pretty).unwrap();
             assert_eq!(serde_json::to_string_pretty(&value).unwrap(), pretty);
+        }
+    }
+
+    #[test]
+    fn write_cell_prints_the_line_to_json_lines() {
+        let (_, proto) = crate::replay::fixture_defs()
+            .into_iter()
+            .find(|(name, _)| *name == "chaos_cell.jsonl")
+            .expect("the chaos fixture is registered");
+        let log = crate::replay::rerun_cell(&proto).expect("the chaos fixture re-runs");
+        assert!(log
+            .events
+            .iter()
+            .any(|ev| matches!(ev.kind, TraceEvent::FaultInjected { .. })));
+        let meta = CellMeta {
+            events: log.events.len() as u64,
+            digest: log.digest(),
+            ..proto
+        };
+        let mut expected = line_to_json(&TraceLine::Cell(meta.clone()));
+        expected.push('\n');
+        for ev in &log.events {
+            expected.push_str(&line_to_json(&TraceLine::Ev(ev.clone())));
+            expected.push('\n');
+        }
+        let mut out = Vec::new();
+        write_cell(&mut out, &meta, &log.events).unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), expected);
+    }
+
+    /// Position of `kind`'s variant in [`TraceEvent`]. Exhaustive on
+    /// purpose: a new variant does not compile until
+    /// [`EveryLineKind`] generates it.
+    fn variant_index(kind: &TraceEvent) -> usize {
+        match kind {
+            TraceEvent::Produce { .. } => 0,
+            TraceEvent::Invoke { .. } => 1,
+            TraceEvent::Flush { .. } => 2,
+            TraceEvent::Wakeup { .. } => 3,
+            TraceEvent::CoreSpan { .. } => 4,
+            TraceEvent::SlotSelect { .. } => 5,
+            TraceEvent::SlotReserve { .. } => 6,
+            TraceEvent::SlotRelease { .. } => 7,
+            TraceEvent::SlotDispatch { .. } => 8,
+            TraceEvent::BufferCreate { .. } => 9,
+            TraceEvent::BufferGrow { .. } => 10,
+            TraceEvent::BufferShrink { .. } => 11,
+            TraceEvent::BufferDestroy { .. } => 12,
+            TraceEvent::FaultInjected { .. } => 13,
+            TraceEvent::ItemShed { .. } => 14,
+            TraceEvent::OverloadEntered { .. } => 15,
+            TraceEvent::OverloadCleared { .. } => 16,
+            TraceEvent::FaultRecovered { .. } => 17,
+        }
+    }
+
+    const VARIANTS: usize = 18;
+
+    /// A cell header plus one event of every [`TraceEvent`] variant,
+    /// with random payloads: integers at every magnitude, strings with
+    /// escapes and multibyte characters, vectors of 0–5 entries.
+    struct EveryLineKind;
+
+    impl EveryLineKind {
+        fn u64(rng: &mut proptest::TestRng) -> u64 {
+            let w = rng.next_u64();
+            w >> (w % 64)
+        }
+
+        fn u32(rng: &mut proptest::TestRng) -> u32 {
+            Self::u64(rng) as u32
+        }
+
+        fn bool(rng: &mut proptest::TestRng) -> bool {
+            rng.next_u64() & 1 == 1
+        }
+
+        fn string(rng: &mut proptest::TestRng) -> String {
+            const POOL: [&str; 5] = ["", "rate_shock", "tab\t\"q\"\\/", "é😀", "\u{1}\u{1f}"];
+            POOL[rng.below(POOL.len() as u64) as usize].to_string()
+        }
+    }
+
+    impl proptest::Strategy for EveryLineKind {
+        type Value = Vec<TraceLine>;
+
+        fn generate(&self, rng: &mut proptest::TestRng) -> Vec<TraceLine> {
+            let (u32_, u64_, bool_, string) = (Self::u32, Self::u64, Self::bool, Self::string);
+            let trigger =
+                [Trigger::Scheduled, Trigger::Overflow, Trigger::Item][rng.below(3) as usize];
+            let kinds = vec![
+                TraceEvent::Produce { pair: u32_(rng) },
+                TraceEvent::Invoke {
+                    pair: u32_(rng),
+                    trigger,
+                    batch: u64_(rng),
+                    capacity: u64_(rng),
+                },
+                TraceEvent::Flush {
+                    pair: u32_(rng),
+                    drained: u64_(rng),
+                },
+                TraceEvent::Wakeup { pair: u32_(rng) },
+                TraceEvent::CoreSpan {
+                    core: u32_(rng),
+                    start_ns: u64_(rng),
+                    end_ns: u64_(rng),
+                    wakeup: bool_(rng),
+                },
+                TraceEvent::SlotSelect {
+                    pair: u32_(rng),
+                    core: u32_(rng),
+                    slot: u64_(rng),
+                    latched: bool_(rng),
+                    rate_overrun: bool_(rng),
+                },
+                TraceEvent::SlotReserve {
+                    core: u32_(rng),
+                    consumer: u32_(rng),
+                    slot: u64_(rng),
+                    prev: bool_(rng).then(|| u64_(rng)),
+                },
+                TraceEvent::SlotRelease {
+                    core: u32_(rng),
+                    consumer: u32_(rng),
+                    slot: u64_(rng),
+                },
+                TraceEvent::SlotDispatch {
+                    core: u32_(rng),
+                    slot: u64_(rng),
+                    consumers: (0..rng.below(6)).map(|_| u32_(rng)).collect(),
+                },
+                TraceEvent::BufferCreate {
+                    owner: u32_(rng),
+                    capacity: u64_(rng),
+                    pool_available: u64_(rng),
+                    pool_total: u64_(rng),
+                },
+                TraceEvent::BufferGrow {
+                    owner: u32_(rng),
+                    from: u64_(rng),
+                    to: u64_(rng),
+                    want: u64_(rng),
+                    pool_available: u64_(rng),
+                },
+                TraceEvent::BufferShrink {
+                    owner: u32_(rng),
+                    from: u64_(rng),
+                    to: u64_(rng),
+                    pool_available: u64_(rng),
+                },
+                TraceEvent::BufferDestroy {
+                    owner: u32_(rng),
+                    released: u64_(rng),
+                    pool_available: u64_(rng),
+                },
+                TraceEvent::FaultInjected {
+                    id: u32_(rng),
+                    kind: string(rng),
+                    pair: u32_(rng),
+                    core: u32_(rng),
+                    param: u64_(rng),
+                    pool_available: u64_(rng),
+                },
+                TraceEvent::ItemShed { pair: u32_(rng) },
+                TraceEvent::OverloadEntered {
+                    pair: u32_(rng),
+                    occupancy: u64_(rng),
+                    escalated: bool_(rng),
+                },
+                TraceEvent::OverloadCleared {
+                    pair: u32_(rng),
+                    shed: u64_(rng),
+                },
+                TraceEvent::FaultRecovered {
+                    id: u32_(rng),
+                    kind: string(rng),
+                    pair: u32_(rng),
+                    core: u32_(rng),
+                    param: u64_(rng),
+                    pool_available: u64_(rng),
+                },
+            ];
+            let header = TraceLine::Cell(CellMeta {
+                experiment: string(rng),
+                strategy: string(rng),
+                pairs: u64_(rng),
+                cores: u64_(rng),
+                buffer: u64_(rng),
+                seed: u64_(rng),
+                duration_ns: u64_(rng),
+                workload: string(rng),
+                scenario: string(rng),
+                period_ns: u64_(rng),
+                events: u64_(rng),
+                dropped: u64_(rng),
+                digest: u64_(rng),
+            });
+            let events = kinds.into_iter().map(|kind| {
+                TraceLine::Ev(Event {
+                    seq: u64_(rng),
+                    t_ns: u64_(rng),
+                    kind,
+                })
+            });
+            std::iter::once(header).chain(events).collect()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn every_trace_line_round_trips(lines in EveryLineKind) {
+            let mut seen = [false; VARIANTS];
+            for line in &lines {
+                if let TraceLine::Ev(ev) = line {
+                    seen[variant_index(&ev.kind)] = true;
+                }
+                let text = line_to_json(line);
+                proptest::prop_assert_eq!(&line_from_json(&text).unwrap(), line, "{}", text);
+            }
+            proptest::prop_assert!(seen.iter().all(|&s| s), "variants not generated: {:?}", seen);
         }
     }
 }

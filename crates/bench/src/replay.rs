@@ -70,19 +70,29 @@ impl std::fmt::Display for ParseError {
 
 /// Parses a JSONL trace export into cells. Blank lines are skipped;
 /// an event before any cell header, an unreadable line, or malformed
-/// JSON is an error with its line number.
-pub fn parse_export(reader: impl BufRead) -> Result<Vec<CellTrace>, ParseError> {
+/// JSON is an error with its line number. Lines end in `\n` or
+/// `\r\n`, as for [`BufRead::lines`]; they are read into one reused
+/// buffer, so parsing allocates nothing per line beyond what the
+/// decoded line holds.
+pub fn parse_export(mut reader: impl BufRead) -> Result<Vec<CellTrace>, ParseError> {
     let mut cells: Vec<CellTrace> = Vec::new();
-    for (index, line) in reader.lines().enumerate() {
-        let lineno = index + 1;
-        let line = line.map_err(|e| ParseError {
+    let mut buf = String::new();
+    for lineno in 1.. {
+        buf.clear();
+        let read = reader.read_line(&mut buf).map_err(|e| ParseError {
             line: lineno,
             msg: format!("read error: {e}"),
         })?;
+        if read == 0 {
+            break;
+        }
+        let line = buf
+            .strip_suffix('\n')
+            .map_or(buf.as_str(), |line| line.strip_suffix('\r').unwrap_or(line));
         if line.trim().is_empty() {
             continue;
         }
-        match oracle::line_from_json(&line) {
+        match oracle::line_from_json(line) {
             Ok(TraceLine::Cell(meta)) => cells.push(CellTrace {
                 meta,
                 events: Vec::new(),
@@ -525,14 +535,9 @@ pub fn render_fixture(proto: &CellMeta) -> Result<String, String> {
     meta.events = log.events.len() as u64;
     meta.dropped = log.dropped;
     meta.digest = log.digest();
-    let mut out = String::new();
-    out.push_str(&oracle::line_to_json(&TraceLine::Cell(meta)));
-    out.push('\n');
-    for ev in &log.events {
-        out.push_str(&oracle::line_to_json(&TraceLine::Ev(ev.clone())));
-        out.push('\n');
-    }
-    Ok(out)
+    let mut out = Vec::new();
+    oracle::write_cell(&mut out, &meta, &log.events).expect("writing to a Vec cannot fail");
+    Ok(String::from_utf8(out).expect("JSON export is UTF-8"))
 }
 
 #[cfg(test)]
@@ -724,6 +729,43 @@ mod tests {
         let err = parse_export(garbage.as_bytes()).unwrap_err();
         assert_eq!(err.line, 1);
         assert!(err.msg.contains("bad line"));
+
+        // Two cells, CRLF line ends, and blank lines between the cells
+        // (one of them holding a space).
+        let header = |experiment: &str| {
+            let mut m = meta("Mutex", "");
+            m.experiment = experiment.into();
+            oracle::line_to_json(&TraceLine::Cell(m))
+        };
+        let ev = |seq| {
+            oracle::line_to_json(&TraceLine::Ev(Event {
+                seq,
+                t_ns: 10 * seq,
+                kind: TraceEvent::Produce { pair: 1 },
+            }))
+        };
+        let crlf = format!(
+            "{}\r\n{}\r\n\r\n \r\n\n{}\r\n{}\r\n{}",
+            header("a"),
+            ev(0),
+            header("b"),
+            ev(1),
+            ev(2)
+        );
+        let cells = parse_export(crlf.as_bytes()).unwrap();
+        assert_eq!(cells.len(), 2);
+        assert_eq!(cells[0].meta.experiment, "a");
+        assert_eq!(cells[1].meta.experiment, "b");
+        let seqs = |c: &CellTrace| c.events.iter().map(|e| e.seq).collect::<Vec<_>>();
+        assert_eq!(seqs(&cells[0]), [0]);
+        assert_eq!(seqs(&cells[1]), [1, 2]);
+
+        // A malformed third line is reported as line 3, after a CRLF
+        // line and a blank one.
+        let bad_third = format!("{}\r\n\n{{\"Ev\":\n{}\n", header("a"), ev(0));
+        let err = parse_export(bad_third.as_bytes()).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.msg.starts_with("bad line: "), "{}", err.msg);
     }
 
     #[test]

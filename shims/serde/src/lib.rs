@@ -5,21 +5,25 @@
 //! `Deserialize` traits plus same-named derive macros under the
 //! `derive` feature.
 //!
-//! Serialisation is direct: a [`Serialize`] impl streams its JSON into
-//! one shared [`Writer`] (compact or pretty), with no intermediate tree.
-//! Deserialisation goes through the ordered [`Value`] tree that
-//! `serde_json::from_str` parses into. Output depends only on the value
-//! and fields print in declaration order, so serialisation is
-//! byte-deterministic — a property the suite determinism CI gate
-//! depends on.
+//! Both directions are direct. A [`Serialize`] impl streams its JSON
+//! into one shared [`Writer`] (compact or pretty), and a
+//! [`Deserialize`] impl reads its fields straight from one shared
+//! [`Deserializer`] cursor over the input text; neither builds an
+//! intermediate tree. [`Value`] is one `Deserialize` impl among the
+//! others, for callers that want the generic document. Output depends
+//! only on the value and fields print in declaration order, so
+//! serialisation is byte-deterministic — a property the suite
+//! determinism CI gate depends on.
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
 
+use std::borrow::Cow;
 use std::io;
 
-/// An ordered JSON value: the parse target of `serde_json::from_str`.
-/// Objects preserve insertion order (no hashing).
+/// An ordered JSON document tree, for callers that want one
+/// (`serde_json::from_str::<Value>`). Objects preserve insertion order
+/// and duplicate keys (no hashing).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -40,24 +44,6 @@ pub enum Value {
     Object(Vec<(String, Value)>),
 }
 
-impl Value {
-    /// Object entries, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Object(entries) => Some(entries),
-            _ => None,
-        }
-    }
-
-    /// Array items, if this is an array.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
 /// Deserialisation error: a plain message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeError(pub String);
@@ -71,6 +57,22 @@ impl DeError {
     /// Unknown enum variant error.
     pub fn unknown_variant(got: &str, enum_name: &str) -> DeError {
         DeError(format!("unknown variant `{got}` for {enum_name}"))
+    }
+
+    /// A field of a named-field struct or variant never appeared.
+    pub fn missing_field(name: &str, type_name: &str) -> DeError {
+        DeError(format!("missing field `{name}` for {type_name}"))
+    }
+
+    /// A named-field struct or variant was given a non-object.
+    pub fn expected_object(type_name: &str) -> DeError {
+        DeError(format!("expected object for {type_name}"))
+    }
+
+    /// A tuple struct or variant was given anything but an array of
+    /// exactly `len` elements.
+    pub fn expected_elements(len: usize, type_name: &str) -> DeError {
+        DeError(format!("expected {len}-element array for {type_name}"))
     }
 }
 
@@ -90,10 +92,15 @@ pub trait Serialize {
     fn serialize<W: io::Write>(&self, out: &mut Writer<W>) -> io::Result<()>;
 }
 
-/// Types reconstructable from a [`Value`].
+/// Types that read themselves from JSON text.
 pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from a JSON value.
-    fn from_value(v: &Value) -> Result<Self, DeError>;
+    /// Reads one value of `Self` at the cursor, which sits on the
+    /// value's first byte, and leaves the cursor just past it.
+    ///
+    /// An error that is not a syntax error may leave the cursor
+    /// anywhere inside the value; [`Deserializer::attempt`] is how
+    /// callers recover from one.
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError>;
 }
 
 // -- the writer ----------------------------------------------------------
@@ -315,84 +322,419 @@ impl<W: io::Write> Writer<W> {
     }
 }
 
-// -- derive support helpers (stable API for generated code) ------------
+// -- the reader ----------------------------------------------------------
 
-/// Expects `v` to be an object; used by derived code.
-pub fn expect_object<'a>(v: &'a Value, type_name: &str) -> Result<&'a [(String, Value)], DeError> {
-    v.as_object()
-        .ok_or_else(|| DeError(format!("expected object for {type_name}")))
+/// The crate's one JSON parser: a cursor over the input text that
+/// [`Deserialize`] impls read their values from directly.
+///
+/// Object keys and escape-free strings are handed out as slices of the
+/// input; only a string holding an escape is copied. Integers are read
+/// straight from their digits, and [`skip_value`](Self::skip_value)
+/// checks a value's syntax without building it.
+///
+/// Decoding reports the errors a whole-document parse followed by a
+/// typed walk would: a syntax error anywhere in the document takes
+/// precedence over a type error, and among type errors the first field
+/// in declaration order wins. [`attempt`](Self::attempt) is the
+/// mechanism — it rewinds a failed read and skips the value, so the
+/// syntax check always covers the whole value.
+pub struct Deserializer<'de> {
+    text: &'de str,
+    pos: usize,
 }
 
-/// Looks up a field in derived struct deserialisation.
-pub fn expect_field<'a>(
-    fields: &'a [(String, Value)],
-    name: &str,
-    type_name: &str,
-) -> Result<&'a Value, DeError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| DeError(format!("missing field `{name}` for {type_name}")))
+/// A number token, classified as `serde_json` does: an integer that
+/// fits `u64`, a negative integer that fits `i64`, or anything with a
+/// fraction, exponent or inner sign.
+enum Number {
+    UInt(u64),
+    Int(i64),
+    Float(f64),
 }
 
-/// Expects an array of exactly `len` items; used by derived code.
-pub fn expect_array<'a>(v: &'a Value, len: usize, type_name: &str) -> Result<&'a [Value], DeError> {
-    match v.as_array() {
-        Some(items) if items.len() == len => Ok(items),
-        _ => Err(DeError(format!(
-            "expected {len}-element array for {type_name}"
-        ))),
+impl<'de> Deserializer<'de> {
+    /// A cursor on the first token of `text` (leading whitespace is
+    /// skipped).
+    pub fn new(text: &'de str) -> Self {
+        let mut de = Deserializer { text, pos: 0 };
+        de.skip_ws();
+        de
     }
+
+    /// Checks that only whitespace follows the last value read.
+    pub fn end(&mut self) -> Result<(), DeError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(DeError(format!("trailing characters at byte {}", self.pos)))
+        }
+    }
+
+    /// Reads one value with `read`. If the read fails, the cursor
+    /// rewinds to the value's start and skips it: a syntax error inside
+    /// the value is returned as the outer error, any other read error
+    /// as the inner one, with the cursor past the value.
+    pub fn attempt<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, DeError>,
+    ) -> Result<Result<T, DeError>, DeError> {
+        let start = self.pos;
+        match read(self) {
+            Ok(value) => Ok(Ok(value)),
+            Err(e) => {
+                self.pos = start;
+                self.skip_value()?;
+                Ok(Err(e))
+            }
+        }
+    }
+
+    /// Reads an object, calling `entry` with each key and the cursor on
+    /// that key's value, which `entry` must consume. Returns `false`,
+    /// consuming nothing, if the next value is not an object.
+    pub fn object(
+        &mut self,
+        mut entry: impl FnMut(&mut Self, &str) -> Result<(), DeError>,
+    ) -> Result<bool, DeError> {
+        if self.peek() != Some(b'{') {
+            return Ok(false);
+        }
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(true);
+        }
+        loop {
+            self.skip_ws();
+            let key = self.key()?;
+            entry(self, &key)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(true);
+                }
+                _ => {
+                    return Err(DeError(format!(
+                        "expected `,` or `}}` at byte {}",
+                        self.pos
+                    )))
+                }
+            }
+        }
+    }
+
+    /// Reads an array, calling `element` with the cursor on each
+    /// element, which `element` must consume. Returns `false`,
+    /// consuming nothing, if the next value is not an array.
+    pub fn array(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), DeError>,
+    ) -> Result<bool, DeError> {
+        if self.peek() != Some(b'[') {
+            return Ok(false);
+        }
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(true);
+        }
+        loop {
+            self.skip_ws();
+            element(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(true);
+                }
+                _ => return Err(DeError(format!("expected `,` or `]` at byte {}", self.pos))),
+            }
+        }
+    }
+
+    /// Reads an enum of `enum_name`: a bare string is a unit variant,
+    /// and a one-entry object is a variant tagged by its key.
+    /// `read(de, tag, tagged)` builds the variant; when `tagged`, the
+    /// cursor is on the entry's value and `read` must consume it.
+    pub fn variant<T>(
+        &mut self,
+        enum_name: &str,
+        read: impl FnOnce(&mut Self, &str, bool) -> Result<T, DeError>,
+    ) -> Result<T, DeError> {
+        match self.peek() {
+            Some(b'"') => {
+                let tag = self.string()?;
+                read(self, &tag, false)
+            }
+            Some(b'{') => {
+                self.pos += 1;
+                self.skip_ws();
+                if self.peek() == Some(b'}') {
+                    return Err(DeError::expected(enum_name));
+                }
+                let tag = self.key()?;
+                let value = self.attempt(|de| read(de, &tag, true))?;
+                self.skip_ws();
+                if self.peek() != Some(b'}') {
+                    // More than one entry: not an enum, whatever the
+                    // first entry held. (A syntax error here surfaces
+                    // through the enclosing `attempt` instead.)
+                    return Err(DeError::expected(enum_name));
+                }
+                self.pos += 1;
+                value
+            }
+            _ => Err(DeError::expected(enum_name)),
+        }
+    }
+
+    /// Consumes one value of any kind, checking its syntax without
+    /// building it (a string holding an escape is still decoded, which
+    /// is how its escapes are checked).
+    pub fn skip_value(&mut self) -> Result<(), DeError> {
+        match self.peek() {
+            Some(b'n') if self.eat_literal("null") => Ok(()),
+            Some(b't') if self.eat_literal("true") => Ok(()),
+            Some(b'f') if self.eat_literal("false") => Ok(()),
+            Some(b'"') => self.string().map(drop),
+            Some(b'[') => self.array(Self::skip_value).map(drop),
+            Some(b'{') => self.object(|de, _| de.skip_value()).map(drop),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
+            _ => Err(self.unexpected()),
+        }
+    }
+
+    // The token readers are `#[inline]`: derived impls in other crates
+    // call them for every field, and the workspace builds without LTO,
+    // so otherwise each token costs a cross-crate call.
+    #[inline]
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    #[inline]
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    #[inline]
+    fn expect(&mut self, b: u8) -> Result<(), DeError> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(DeError(format!(
+                "expected `{}` at byte {}",
+                b as char, self.pos
+            )))
+        }
+    }
+
+    #[inline]
+    fn eat_literal(&mut self, lit: &str) -> bool {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            true
+        } else {
+            false
+        }
+    }
+
+    fn unexpected(&self) -> DeError {
+        DeError(format!(
+            "unexpected {:?} at byte {}",
+            self.peek().map(|b| b as char),
+            self.pos
+        ))
+    }
+
+    /// An object key and its `:`, leaving the cursor on the value.
+    #[inline]
+    fn key(&mut self) -> Result<Cow<'de, str>, DeError> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    /// Advances to the next quote or backslash (or the end). Both are
+    /// ASCII, so the run skipped ends on a char boundary.
+    #[inline]
+    fn skip_plain(&mut self) {
+        while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+            self.pos += 1;
+        }
+    }
+
+    /// A string token, borrowed from the input unless it holds an
+    /// escape.
+    #[inline]
+    fn string(&mut self) -> Result<Cow<'de, str>, DeError> {
+        let text = self.text;
+        self.expect(b'"')?;
+        let start = self.pos;
+        self.skip_plain();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&text[start..self.pos - 1]));
+        }
+        let mut out = String::from(&text[start..self.pos]);
+        loop {
+            match self.peek() {
+                None => return Err(DeError("unterminated string".into())),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(Cow::Owned(out));
+                }
+                _ => {
+                    self.pos += 1;
+                    self.escape(&mut out)?;
+                    self.pos += 1;
+                }
+            }
+            let run = self.pos;
+            self.skip_plain();
+            out.push_str(&text[run..self.pos]);
+        }
+    }
+
+    /// Decodes the escape whose letter is at the cursor into `out`,
+    /// leaving the cursor on its last byte.
+    fn escape(&mut self, out: &mut String) -> Result<(), DeError> {
+        match self.peek() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let hex = self
+                    .text
+                    .as_bytes()
+                    .get(self.pos + 1..self.pos + 5)
+                    .ok_or_else(|| DeError("truncated \\u escape".into()))?;
+                let hex = std::str::from_utf8(hex).map_err(|_| DeError("bad \\u escape".into()))?;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| DeError("bad \\u escape".into()))?;
+                // Surrogate pairs are not produced by the writer;
+                // reject rather than mis-decode.
+                let c = char::from_u32(code).ok_or_else(|| DeError("bad \\u code point".into()))?;
+                out.push(c);
+                self.pos += 4;
+            }
+            other => {
+                return Err(DeError(format!(
+                    "bad escape {:?} at byte {}",
+                    other.map(|b| b as char),
+                    self.pos
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// A number token. A non-negative integer of up to 19 digits (too
+    /// few to overflow a `u64`) is accumulated from its digits as they
+    /// are scanned; anything else parses its text.
+    #[inline]
+    fn number(&mut self) -> Result<Number, DeError> {
+        let start = self.pos;
+        let negative = self.peek() == Some(b'-');
+        if negative {
+            self.pos += 1;
+        }
+        let digits = self.pos;
+        let mut int = 0u64;
+        while let Some(b @ b'0'..=b'9') = self.peek() {
+            int = int.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+            self.pos += 1;
+        }
+        let mut is_float = false;
+        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.peek() {
+            is_float = true;
+            self.pos += 1;
+        }
+        let text = &self.text[start..self.pos];
+        let invalid = || DeError(format!("invalid number `{text}`"));
+        if is_float {
+            text.parse().map(Number::Float).map_err(|_| invalid())
+        } else if negative {
+            text.parse().map(Number::Int).map_err(|_| invalid())
+        } else if self.pos - digits < 20 {
+            Ok(Number::UInt(int))
+        } else {
+            text.parse().map(Number::UInt).map_err(|_| invalid())
+        }
+    }
+
+    /// A number token, or `None` (consuming nothing) if the next value
+    /// is not a number.
+    #[inline]
+    fn maybe_number(&mut self) -> Result<Option<Number>, DeError> {
+        match self.peek() {
+            Some(b'-' | b'0'..=b'9') => self.number().map(Some),
+            _ => Ok(None),
+        }
+    }
+}
+
+/// What a derived impl read into `slot`: the value, the error reading
+/// it, or `missing()` if the input never held it.
+pub fn take<T>(
+    slot: Option<Result<T, DeError>>,
+    missing: impl FnOnce() -> DeError,
+) -> Result<T, DeError> {
+    slot.unwrap_or_else(|| Err(missing()))
 }
 
 // -- primitive impls ---------------------------------------------------
 
-macro_rules! ser_de_uint {
-    ($($t:ty),*) => {$(
+macro_rules! ser_int {
+    ($via:ident: $($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize<W: io::Write>(&self, out: &mut Writer<W>) -> io::Result<()> {
-                out.u64(*self as u64)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::UInt(n) => <$t>::try_from(*n)
-                        .map_err(|_| DeError::expected(stringify!($t))),
-                    Value::Int(n) => <$t>::try_from(*n)
-                        .map_err(|_| DeError::expected(stringify!($t))),
-                    _ => Err(DeError::expected(stringify!($t))),
-                }
+                out.$via(*self as $via)
             }
         }
     )*};
 }
 
-macro_rules! ser_de_int {
+ser_int!(u64: u8, u16, u32, u64, usize);
+ser_int!(i64: i8, i16, i32, i64, isize);
+
+/// Integers take integer tokens in range; a float token, even an
+/// integral one, is an error.
+macro_rules! de_int {
     ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn serialize<W: io::Write>(&self, out: &mut Writer<W>) -> io::Result<()> {
-                out.i64(*self as i64)
-            }
-        }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::UInt(n) => <$t>::try_from(*n)
-                        .map_err(|_| DeError::expected(stringify!($t))),
-                    Value::Int(n) => <$t>::try_from(*n)
-                        .map_err(|_| DeError::expected(stringify!($t))),
-                    _ => Err(DeError::expected(stringify!($t))),
-                }
+            fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+                let n = match de.maybe_number()? {
+                    Some(Number::UInt(n)) => <$t>::try_from(n).ok(),
+                    Some(Number::Int(n)) => <$t>::try_from(n).ok(),
+                    Some(Number::Float(_)) | None => None,
+                };
+                n.ok_or_else(|| DeError::expected(stringify!($t)))
             }
         }
     )*};
 }
 
-ser_de_uint!(u8, u16, u32, u64, usize);
-ser_de_int!(i8, i16, i32, i64, isize);
+de_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
+/// Floats take any number token, and `null` (the writer's spelling of a
+/// non-finite float) as NaN.
 macro_rules! ser_de_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
@@ -401,13 +743,15 @@ macro_rules! ser_de_float {
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::Float(x) => Ok(*x as $t),
-                    Value::UInt(n) => Ok(*n as $t),
-                    Value::Int(n) => Ok(*n as $t),
-                    Value::Null => Ok(<$t>::NAN),
-                    _ => Err(DeError::expected(stringify!($t))),
+            fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+                if de.eat_literal("null") {
+                    return Ok(<$t>::NAN);
+                }
+                match de.maybe_number()? {
+                    Some(Number::Float(x)) => Ok(x as $t),
+                    Some(Number::UInt(n)) => Ok(n as $t),
+                    Some(Number::Int(n)) => Ok(n as $t),
+                    None => Err(DeError::expected(stringify!($t))),
                 }
             }
         }
@@ -423,10 +767,13 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(DeError::expected("bool")),
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        if de.eat_literal("true") {
+            Ok(true)
+        } else if de.eat_literal("false") {
+            Ok(false)
+        } else {
+            Err(DeError::expected("bool"))
         }
     }
 }
@@ -438,11 +785,11 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            _ => Err(DeError::expected("string")),
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        if de.peek() != Some(b'"') {
+            return Err(DeError::expected("string"));
         }
+        de.string().map(Cow::into_owned)
     }
 }
 
@@ -477,10 +824,15 @@ impl<T: Serialize> Serialize for [T] {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            _ => Err(DeError::expected("array")),
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        let mut items = Vec::new();
+        if de.array(|de| {
+            items.push(T::deserialize(de)?);
+            Ok(())
+        })? {
+            Ok(items)
+        } else {
+            Err(DeError::expected("array"))
         }
     }
 }
@@ -495,10 +847,11 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        if de.eat_literal("null") {
+            Ok(None)
+        } else {
+            T::deserialize(de).map(Some)
         }
     }
 }
@@ -509,6 +862,8 @@ impl<T: Serialize> Serialize for Box<T> {
     }
 }
 
+/// Tuples are arrays of exactly their arity. The length is checked
+/// before any element's error is reported.
 macro_rules! ser_de_tuple {
     ($(($($t:ident . $i:tt),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
@@ -522,14 +877,23 @@ macro_rules! ser_de_tuple {
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
+            fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
                 const N: usize = 0 $(+ { let _ = $i; 1 })+;
-                match v.as_array() {
-                    Some(items) if items.len() == N => {
-                        Ok(($($t::from_value(&items[$i])?,)+))
+                let mut slots = ($(None::<Result<$t, DeError>>,)+);
+                let mut len = 0;
+                let is_array = de.array(|de| {
+                    match len {
+                        $($i => slots.$i = Some(de.attempt($t::deserialize)?),)+
+                        _ => de.skip_value()?,
                     }
-                    _ => Err(DeError::expected("tuple array")),
+                    len += 1;
+                    Ok(())
+                })?;
+                let mismatch = || DeError::expected("tuple array");
+                if !is_array || len != N {
+                    return Err(mismatch());
                 }
+                Ok(($(take(slots.$i, mismatch)?,)+))
             }
         }
     )*};
@@ -564,8 +928,29 @@ impl Serialize for Value {
     }
 }
 
+/// A `Value` takes any JSON: it is the generic document tree.
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        match de.peek() {
+            Some(b'n') if de.eat_literal("null") => Ok(Value::Null),
+            Some(b't') if de.eat_literal("true") => Ok(Value::Bool(true)),
+            Some(b'f') if de.eat_literal("false") => Ok(Value::Bool(false)),
+            Some(b'"') => de.string().map(|s| Value::Str(s.into_owned())),
+            Some(b'[') => Vec::deserialize(de).map(Value::Array),
+            Some(b'{') => {
+                let mut entries = Vec::new();
+                de.object(|de, key| {
+                    entries.push((key.to_string(), Value::deserialize(de)?));
+                    Ok(())
+                })?;
+                Ok(Value::Object(entries))
+            }
+            Some(b'-' | b'0'..=b'9') => Ok(match de.number()? {
+                Number::UInt(n) => Value::UInt(n),
+                Number::Int(n) => Value::Int(n),
+                Number::Float(x) => Value::Float(x),
+            }),
+            _ => Err(de.unexpected()),
+        }
     }
 }

@@ -1,18 +1,25 @@
 //! Offline stand-in for the real `serde_derive` (see `shims/README.md`).
 //!
 //! Generates `serde::Serialize` impls that stream straight into the
-//! shim's `serde::Writer`, and `serde::Deserialize` impls that read the
-//! parsed `serde::Value` tree. Supports exactly the shapes this workspace
-//! derives on: non-generic named-field structs, tuple structs, unit
-//! structs, and enums with unit / named-field / tuple variants. No
-//! `#[serde(...)]` attributes (none are used in-tree).
+//! shim's `serde::Writer`, and `serde::Deserialize` impls that read
+//! each field straight from the shim's `serde::Deserializer` cursor
+//! into a local. Supports exactly the shapes this workspace
+//! derives on: named-field structs, tuple structs, unit structs, and
+//! enums with unit / named-field / tuple variants, without type
+//! parameters (a `Serialize` type may have lifetime parameters, e.g. a
+//! view over borrowed payloads). No `#[serde(...)]` attributes (none
+//! are used in-tree).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
+/// A field list. Types are kept as source text so the generated
+/// `Deserialize` can name each field's impl.
 enum Fields {
     Unit,
-    Named(Vec<String>),
-    Tuple(usize),
+    /// `(name, type)` per field.
+    Named(Vec<(String, String)>),
+    /// The type of each field.
+    Tuple(Vec<String>),
 }
 
 enum Shape {
@@ -31,17 +38,19 @@ enum Shape {
 /// pre-escaped string literals.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let shape = parse_shape(input);
+    let (shape, generics) = parse_shape(input);
     let (name, body) = match &shape {
         Shape::Struct { name, fields } => {
             let body = match fields {
                 Fields::Unit => "__out.null()".to_string(),
-                Fields::Named(names) => {
+                Fields::Named(fields) => {
+                    let names = field_names(fields);
                     let access: Vec<String> = names.iter().map(|f| format!("&self.{f}")).collect();
-                    ser_object(names, &access)
+                    ser_object(&names, &access)
                 }
-                Fields::Tuple(n) => {
-                    let access: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+                Fields::Tuple(types) => {
+                    let access: Vec<String> =
+                        (0..types.len()).map(|i| format!("&self.{i}")).collect();
                     ser_tuple(&access)
                 }
             };
@@ -56,7 +65,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         }
     };
     format!(
-        "impl ::serde::Serialize for {name} {{\n\
+        "impl{generics} ::serde::Serialize for {name}{generics} {{\n\
          fn serialize<__W: ::std::io::Write>(&self, __out: &mut ::serde::Writer<__W>) \
          -> ::std::io::Result<()> {{ {body} }}\n\
          }}"
@@ -65,63 +74,56 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     .expect("serde_derive: generated Serialize impl must parse")
 }
 
-/// Derives `serde::Deserialize`.
+/// Derives `serde::Deserialize`: a `deserialize` body that reads each
+/// field straight from the `serde::Deserializer` into an `Option`
+/// local, in input order, then assembles the value in declaration
+/// order — so a missing field or a bad value is reported for the first
+/// field in declaration order, as a walk of a parsed tree would.
+///
+/// Unknown keys are skipped and, for a repeated key, the first
+/// occurrence wins. Unit variants are bare strings and data variants
+/// one-entry objects.
 #[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let shape = parse_shape(input);
-    let body = match &shape {
-        Shape::Struct { name, fields } => {
-            let expr = de_fields_expr(name, &format!("{name} "), fields, "v");
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_value(v: &::serde::Value) -> \
-                 ::std::result::Result<Self, ::serde::DeError> {{\n\
-                 ::std::result::Result::Ok({expr})\n\
-                 }} }}"
-            )
-        }
+    let (shape, generics) = parse_shape(input);
+    assert!(
+        generics.is_empty(),
+        "serde_derive shim derives Deserialize only for types without parameters"
+    );
+    let (name, body) = match &shape {
+        Shape::Struct { name, fields } => (name, de_fields(name, name, fields)),
         Shape::Enum { name, variants } => {
-            let unit_arms: String = variants
+            let arms: String = variants
                 .iter()
-                .filter(|(_, f)| matches!(f, Fields::Unit))
-                .map(|(v, _)| format!("{v:?} => ::std::result::Result::Ok({name}::{v}),\n"))
-                .collect();
-            let tagged_arms: String = variants
-                .iter()
-                .map(|(v, fields)| {
-                    let expr = match fields {
-                        Fields::Unit => format!("{name}::{v}"),
-                        _ => de_fields_expr(name, &format!("{name}::{v} "), fields, "inner"),
-                    };
-                    format!("{v:?} => ::std::result::Result::Ok({expr}),\n")
+                .map(|(v, fields)| match fields {
+                    Fields::Unit => format!(
+                        "{v:?} => {{ if __tagged {{ __de.skip_value()?; }} \
+                         ::std::result::Result::Ok({name}::{v}) }}\n"
+                    ),
+                    _ => format!(
+                        "{v:?} if __tagged => {{ {} }}\n",
+                        de_fields(name, &format!("{name}::{v}"), fields)
+                    ),
                 })
                 .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_value(v: &::serde::Value) -> \
-                 ::std::result::Result<Self, ::serde::DeError> {{\n\
-                 match v {{\n\
-                 ::serde::Value::Str(s) => match s.as_str() {{\n\
-                 {unit_arms}\
-                 other => ::std::result::Result::Err(\
-                 ::serde::DeError::unknown_variant(other, {name:?})),\n\
-                 }},\n\
-                 ::serde::Value::Object(entries) if entries.len() == 1 => {{\n\
-                 let (key, inner) = &entries[0];\n\
-                 let _ = inner;\n\
-                 match key.as_str() {{\n\
-                 {tagged_arms}\
-                 other => ::std::result::Result::Err(\
-                 ::serde::DeError::unknown_variant(other, {name:?})),\n\
-                 }}\n\
-                 }},\n\
-                 _ => ::std::result::Result::Err(::serde::DeError::expected({name:?})),\n\
-                 }} }} }}"
-            )
+            let body = format!(
+                "__de.variant({name:?}, |__de, __tag, __tagged| match __tag {{\n\
+                 {arms}\
+                 __other => ::std::result::Result::Err(\
+                 ::serde::DeError::unknown_variant(__other, {name:?})),\n\
+                 }})"
+            );
+            (name, body)
         }
     };
-    body.parse()
-        .expect("serde_derive: generated Deserialize impl must parse")
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+         fn deserialize(__de: &mut ::serde::Deserializer<'_>) \
+         -> ::std::result::Result<Self, ::serde::DeError> {{ {body} }}\n\
+         }}"
+    )
+    .parse()
+    .expect("serde_derive: generated Deserialize impl must parse")
 }
 
 /// `name` as a quoted JSON string literal, itself written as a Rust
@@ -169,12 +171,15 @@ fn ser_variant_arm(enum_name: &str, variant: &str, fields: &Fields) -> String {
                 quoted(variant)
             )
         }
-        Fields::Named(names) => (
-            format!("{{ {} }}", names.join(", ")),
-            ser_object(names, names),
-        ),
-        Fields::Tuple(n) => {
-            let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
+        Fields::Named(fields) => {
+            let names = field_names(fields);
+            (
+                format!("{{ {} }}", names.join(", ")),
+                ser_object(&names, &names),
+            )
+        }
+        Fields::Tuple(types) => {
+            let binds: Vec<String> = (0..types.len()).map(|i| format!("f{i}")).collect();
             (format!("({})", binds.join(", ")), ser_tuple(&binds))
         }
     };
@@ -185,50 +190,116 @@ fn ser_variant_arm(enum_name: &str, variant: &str, fields: &Fields) -> String {
     )
 }
 
-/// Expression constructing `ctor ...` (e.g. `Row ` or `StrategyKind::Pbp `)
-/// from the `Value` named `src`.
-fn de_fields_expr(type_name: &str, ctor: &str, fields: &Fields, src: &str) -> String {
+/// A block evaluating to `Result<_, DeError>` that reads `ctor ...`
+/// (e.g. `Row` or `StrategyKind::Pbp`) from the cursor `__de`;
+/// `type_name` names the type in error messages.
+fn de_fields(type_name: &str, ctor: &str, fields: &Fields) -> String {
+    let ok = "::std::result::Result::Ok";
     match fields {
-        Fields::Unit => ctor.trim_end().to_string(),
-        Fields::Named(names) => {
-            let inits: String = names
+        // A unit struct accepts any value, like a field it ignores.
+        Fields::Unit => format!("__de.skip_value()?; {ok}({ctor})"),
+        Fields::Tuple(types) if types.len() == 1 => {
+            format!(
+                "{ok}({ctor}(<{} as ::serde::Deserialize>::deserialize(__de)?))",
+                types[0]
+            )
+        }
+        Fields::Tuple(types) => {
+            let n = types.len();
+            let reads: String = (0..n)
+                .map(|i| format!("{i} => __f{i} = {},\n", de_slot_read(&types[i])))
+                .collect();
+            let takes: String = (0..n)
+                .map(|i| format!("::serde::take(__f{i}, __mismatch)?, "))
+                .collect();
+            format!(
+                "{slots}\
+                 let mut __len = 0usize;\n\
+                 let __is_array = __de.array(|__de| {{\n\
+                 match __len {{ {reads} _ => __de.skip_value()?, }}\n\
+                 __len += 1;\n\
+                 {ok}(())\n\
+                 }})?;\n\
+                 let __mismatch = || ::serde::DeError::expected_elements({n}, {type_name:?});\n\
+                 if !__is_array || __len != {n} {{\n\
+                 return ::std::result::Result::Err(__mismatch());\n\
+                 }}\n\
+                 {ok}({ctor}({takes}))",
+                slots = de_slots(types),
+            )
+        }
+        Fields::Named(fields) => {
+            let types: Vec<String> = fields.iter().map(|(_, ty)| ty.clone()).collect();
+            let reads: String = fields
                 .iter()
-                .map(|f| {
+                .enumerate()
+                .map(|(i, (f, ty))| {
                     format!(
-                        "{f}: ::serde::Deserialize::from_value(\
-                         ::serde::expect_field(fields, {f:?}, {type_name:?})?)?,"
+                        "{f:?} if __f{i}.is_none() => __f{i} = {},\n",
+                        de_slot_read(ty)
+                    )
+                })
+                .collect();
+            let takes: String = fields
+                .iter()
+                .enumerate()
+                .map(|(i, (f, _))| {
+                    format!(
+                        "{f}: ::serde::take(__f{i}, || \
+                         ::serde::DeError::missing_field({f:?}, {type_name:?}))?, "
                     )
                 })
                 .collect();
             format!(
-                "{{ let fields = ::serde::expect_object({src}, {type_name:?})?; \
-                 {ctor}{{ {inits} }} }}"
-            )
-        }
-        Fields::Tuple(1) => {
-            format!(
-                "{}(::serde::Deserialize::from_value({src})?)",
-                ctor.trim_end()
-            )
-        }
-        Fields::Tuple(n) => {
-            let items: String = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?,"))
-                .collect();
-            format!(
-                "{{ let items = ::serde::expect_array({src}, {n}, {type_name:?})?; \
-                 {}({items}) }}",
-                ctor.trim_end()
+                "{slots}\
+                 if !__de.object(|__de, __key| {{\n\
+                 match __key {{ {reads} _ => __de.skip_value()?, }}\n\
+                 {ok}(())\n\
+                 }})? {{\n\
+                 return ::std::result::Result::Err(\
+                 ::serde::DeError::expected_object({type_name:?}));\n\
+                 }}\n\
+                 {ok}({ctor} {{ {takes} }})",
+                slots = de_slots(&types),
             )
         }
     }
+}
+
+/// `let` statements declaring one empty slot `__f{i}` per field type.
+fn de_slots(types: &[String]) -> String {
+    types
+        .iter()
+        .enumerate()
+        .map(|(i, ty)| {
+            format!(
+                "let mut __f{i}: ::std::option::Option<\
+                 ::std::result::Result<{ty}, ::serde::DeError>> = \
+                 ::std::option::Option::None;\n"
+            )
+        })
+        .collect()
+}
+
+/// The expression filling a slot of type `ty` from the cursor: the
+/// value, or its read error once the value has been skipped.
+fn de_slot_read(ty: &str) -> String {
+    format!(
+        "::std::option::Option::Some(\
+         __de.attempt(<{ty} as ::serde::Deserialize>::deserialize)?)"
+    )
+}
+
+fn field_names(fields: &[(String, String)]) -> Vec<String> {
+    fields.iter().map(|(name, _)| name.clone()).collect()
 }
 
 // ---------------------------------------------------------------------
 // Token-stream parsing (no syn): just enough for the shapes above.
 // ---------------------------------------------------------------------
 
-fn parse_shape(input: TokenStream) -> Shape {
+/// The item's shape and its generic parameter list (`<'a>`, or empty).
+fn parse_shape(input: TokenStream) -> (Shape, String) {
     let mut iter = input.into_iter().peekable();
     loop {
         match iter.next() {
@@ -236,29 +307,20 @@ fn parse_shape(input: TokenStream) -> Shape {
                 // Attribute: consume the following [...] group.
                 iter.next();
             }
-            Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
-                // Visibility, possibly pub(crate): consume optional group.
-                if let Some(TokenTree::Group(g)) = iter.peek() {
-                    if g.delimiter() == Delimiter::Parenthesis {
-                        iter.next();
-                    }
-                }
-            }
+            Some(TokenTree::Ident(id)) if id.to_string() == "pub" => skip_restriction(&mut iter),
             Some(TokenTree::Ident(id)) if id.to_string() == "struct" => {
                 let name = expect_ident(iter.next(), "struct name");
-                return Shape::Struct {
-                    name,
-                    fields: parse_struct_body(&mut iter),
-                };
+                let generics = parse_lifetimes(&mut iter);
+                let fields = parse_struct_body(&mut iter);
+                return (Shape::Struct { name, fields }, generics);
             }
             Some(TokenTree::Ident(id)) if id.to_string() == "enum" => {
                 let name = expect_ident(iter.next(), "enum name");
+                let generics = parse_lifetimes(&mut iter);
                 match iter.next() {
                     Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                        return Shape::Enum {
-                            name,
-                            variants: parse_variants(g.stream()),
-                        };
+                        let variants = parse_variants(g.stream());
+                        return (Shape::Enum { name, variants }, generics);
                     }
                     other => panic!("serde_derive: expected enum body, found {other:?}"),
                 }
@@ -267,6 +329,30 @@ fn parse_shape(input: TokenStream) -> Shape {
             None => panic!("serde_derive: ran out of tokens before struct/enum"),
         }
     }
+}
+
+/// A `<...>` parameter list of lifetimes only (e.g. `<'a>`), or an
+/// empty string if the item has none.
+fn parse_lifetimes(iter: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>) -> String {
+    if !matches!(iter.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
+        return String::new();
+    }
+    iter.next();
+    let params: TokenStream = iter
+        .by_ref()
+        .take_while(|tt| !matches!(tt, TokenTree::Punct(p) if p.as_char() == '>'))
+        .collect();
+    let params = params.to_string();
+    let lifetime = |p: &str| {
+        p.trim()
+            .strip_prefix('\'')
+            .is_some_and(|id| !id.is_empty() && id.chars().all(|c| c.is_alphanumeric() || c == '_'))
+    };
+    assert!(
+        params.split(',').all(lifetime),
+        "serde_derive shim supports lifetime parameters only, found <{params}>"
+    );
+    format!("<{params}>")
 }
 
 fn expect_ident(tt: Option<TokenTree>, what: &str) -> String {
@@ -282,21 +368,16 @@ fn parse_struct_body(iter: &mut std::iter::Peekable<impl Iterator<Item = TokenTr
             Fields::Named(parse_named_fields(g.stream()))
         }
         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-            Fields::Tuple(count_tuple_fields(g.stream()))
+            Fields::Tuple(tuple_field_types(g.stream()))
         }
         Some(TokenTree::Punct(p)) if p.as_char() == ';' => Fields::Unit,
-        Some(TokenTree::Punct(p)) if p.as_char() == '<' => {
-            panic!("serde_derive shim does not support generic types")
-        }
         other => panic!("serde_derive: expected struct body, found {other:?}"),
     }
 }
 
-/// Field names of a `{ ... }` body; skips attributes, visibility, and
-/// the type after each `:` (tracking `<`/`>` depth so commas inside
-/// generic arguments don't split fields; parenthesised types are opaque
-/// groups, so their commas are invisible here).
-fn parse_named_fields(stream: TokenStream) -> Vec<String> {
+/// `(name, type)` of each field of a `{ ... }` body; skips attributes
+/// and visibility.
+fn parse_named_fields(stream: TokenStream) -> Vec<(String, String)> {
     let mut fields = Vec::new();
     let mut iter = stream.into_iter().peekable();
     loop {
@@ -305,30 +386,13 @@ fn parse_named_fields(stream: TokenStream) -> Vec<String> {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                 iter.next();
             }
-            Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
-                if let Some(TokenTree::Group(g)) = iter.peek() {
-                    if g.delimiter() == Delimiter::Parenthesis {
-                        iter.next();
-                    }
-                }
-            }
+            Some(TokenTree::Ident(id)) if id.to_string() == "pub" => skip_restriction(&mut iter),
             Some(TokenTree::Ident(id)) => {
-                fields.push(id.to_string());
                 match iter.next() {
                     Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
                     other => panic!("serde_derive: expected ':' after field, found {other:?}"),
                 }
-                let mut depth = 0i64;
-                for tt in iter.by_ref() {
-                    if let TokenTree::Punct(p) = &tt {
-                        match p.as_char() {
-                            '<' => depth += 1,
-                            '>' => depth -= 1,
-                            ',' if depth == 0 => break,
-                            _ => {}
-                        }
-                    }
-                }
+                fields.push((id.to_string(), take_type(&mut iter)));
             }
             Some(other) => panic!("serde_derive: unexpected field token {other:?}"),
         }
@@ -336,27 +400,55 @@ fn parse_named_fields(stream: TokenStream) -> Vec<String> {
     fields
 }
 
-/// Number of fields in a `( ... )` tuple body.
-fn count_tuple_fields(stream: TokenStream) -> usize {
-    let mut count = 0usize;
+/// The type of each field of a `( ... )` tuple body.
+fn tuple_field_types(stream: TokenStream) -> Vec<String> {
+    let mut types = Vec::new();
+    let mut iter = stream.into_iter().peekable();
+    loop {
+        match iter.peek() {
+            None => break,
+            Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
+                iter.next();
+                iter.next();
+            }
+            Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
+                iter.next();
+                skip_restriction(&mut iter);
+            }
+            Some(_) => types.push(take_type(&mut iter)),
+        }
+    }
+    types
+}
+
+/// Skips the `(crate)`-style restriction after `pub`, if any.
+fn skip_restriction(iter: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>) {
+    if let Some(TokenTree::Group(g)) = iter.peek() {
+        if g.delimiter() == Delimiter::Parenthesis {
+            iter.next();
+        }
+    }
+}
+
+/// Consumes a type up to the next top-level `,` (or the end) and
+/// returns its source text. `<`/`>` depth is tracked so commas inside
+/// generic arguments don't split it; parenthesised types are opaque
+/// groups, so their commas are invisible here.
+fn take_type(iter: &mut impl Iterator<Item = TokenTree>) -> String {
+    let mut ty = Vec::new();
     let mut depth = 0i64;
-    let mut pending = false;
-    for tt in stream {
+    for tt in iter.by_ref() {
         if let TokenTree::Punct(p) = &tt {
             match p.as_char() {
                 '<' => depth += 1,
                 '>' => depth -= 1,
-                ',' if depth == 0 => {
-                    count += 1;
-                    pending = false;
-                    continue;
-                }
+                ',' if depth == 0 => break,
                 _ => {}
             }
         }
-        pending = true;
+        ty.push(tt);
     }
-    count + usize::from(pending)
+    ty.into_iter().collect::<TokenStream>().to_string()
 }
 
 fn parse_variants(stream: TokenStream) -> Vec<(String, Fields)> {
@@ -378,7 +470,7 @@ fn parse_variants(stream: TokenStream) -> Vec<(String, Fields)> {
                         f
                     }
                     Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                        let f = Fields::Tuple(count_tuple_fields(g.stream()));
+                        let f = Fields::Tuple(tuple_field_types(g.stream()));
                         iter.next();
                         f
                     }

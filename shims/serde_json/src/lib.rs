@@ -1,15 +1,16 @@
 //! Offline stand-in for `serde_json` (see `shims/README.md`).
 //!
 //! Serialisation streams through the serde shim's [`serde::Writer`]
-//! straight into a byte sink — no intermediate tree. Parsing is a
-//! recursive-descent parser into the shim's ordered [`Value`], which
-//! `Deserialize` impls then read. Output formatting mirrors
-//! `serde_json`'s conventions (2-space pretty indent, non-finite floats
-//! as `null`) and depends only on the value — identical values always
-//! print identical bytes, which the suite determinism gate relies on.
+//! straight into a byte sink, and parsing reads through its
+//! [`serde::Deserializer`] cursor straight into the target type — no
+//! intermediate tree either way. [`Value`] is just one target among
+//! others. Output formatting mirrors `serde_json`'s conventions
+//! (2-space pretty indent, non-finite floats as `null`) and depends only
+//! on the value — identical values always print identical bytes, which
+//! the suite determinism gate relies on.
 
 pub use serde::Value;
-use serde::{Deserialize, Serialize, Writer};
+use serde::{DeError, Deserialize, Deserializer, Serialize, Writer};
 use std::io;
 
 /// Serialisation/deserialisation error: a plain message.
@@ -23,6 +24,12 @@ impl std::fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
+
+impl From<DeError> for Error {
+    fn from(e: DeError) -> Error {
+        Error(e.0)
+    }
+}
 
 impl From<io::Error> for Error {
     fn from(e: io::Error) -> Error {
@@ -59,242 +66,27 @@ fn into_string<T: Serialize + ?Sized>(
     String::from_utf8(writer.into_inner()).map_err(|e| Error(e.to_string()))
 }
 
-/// Parses JSON text into a `T`.
+/// Parses JSON text into a `T`: the cursor reads one value, then
+/// only whitespace may follow. A syntax error anywhere in `s`, trailing
+/// characters included, is reported ahead of a type error.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse_value(s)?;
-    T::from_value(&value).map_err(|e| Error(e.0))
-}
-
-// -- parser ------------------------------------------------------------
-
-struct Parser<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        text: s,
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error(format!("trailing characters at byte {}", p.pos)));
-    }
-    Ok(v)
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
-            Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(Error(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.pos
-            ))),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(Error(format!("expected `,` or `]` at byte {}", self.pos))),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(entries));
-                }
-                _ => return Err(Error(format!("expected `,` or `}}` at byte {}", self.pos))),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Copy the run up to the next quote or backslash as one
-            // slice: both are ASCII, so the run ends on a char boundary.
-            let run = self.pos;
-            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
-                self.pos += 1;
-            }
-            out.push_str(&self.text[run..self.pos]);
-            match self.peek() {
-                None => return Err(Error("unterminated string".into())),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                _ => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error("truncated \\u escape".into()))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Error("bad \\u escape".into()))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error("bad \\u escape".into()))?;
-                            // Surrogate pairs are not produced by the
-                            // writer; reject rather than mis-decode.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| Error("bad \\u code point".into()))?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        other => {
-                            return Err(Error(format!(
-                                "bad escape {:?} at byte {}",
-                                other.map(|b| b as char),
-                                self.pos
-                            )))
-                        }
-                    }
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error("invalid number".into()))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| Error(format!("invalid number `{text}`")))
-        } else if text.starts_with('-') {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| Error(format!("invalid number `{text}`")))
-        } else {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|_| Error(format!("invalid number `{text}`")))
-        }
-    }
+    let mut de = Deserializer::new(s);
+    let value = de.attempt(T::deserialize)?;
+    de.end()?;
+    Ok(value?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[derive(Serialize)]
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
     struct Marker;
 
-    #[derive(Serialize)]
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
     struct Newtype(u32);
 
-    #[derive(Serialize)]
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
     enum Shape {
         Dot,
         Pair(i32, u64),
@@ -302,7 +94,7 @@ mod tests {
         Named { on: bool, label: Option<String> },
     }
 
-    #[derive(Serialize)]
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
     struct Sample {
         x: f64,
         maybe: Option<u32>,
@@ -374,6 +166,182 @@ mod tests {
         assert_eq!(
             to_string(&Shape::Wrap(f64::NAN)).unwrap(),
             r#"{"Wrap":null}"#
+        );
+    }
+
+    fn shapes() -> [Shape; 5] {
+        [
+            Shape::Dot,
+            Shape::Pair(-1, u64::MAX),
+            Shape::Wrap(0.5),
+            Shape::Named {
+                on: true,
+                label: None,
+            },
+            Shape::Named {
+                on: false,
+                label: Some("é\"q\"".to_string()),
+            },
+        ]
+    }
+
+    /// `x`'s compact and pretty text each decode to a value that prints
+    /// the same text again.
+    fn assert_decodes_back<T: Serialize + Deserialize>(x: &T) {
+        for (text, print) in [
+            (to_string(x).unwrap(), to_string::<T> as fn(&T) -> _),
+            (to_string_pretty(x).unwrap(), to_string_pretty::<T>),
+        ] {
+            let back: T = from_str(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+            assert_eq!(print(&back).unwrap(), text);
+        }
+    }
+
+    #[test]
+    fn every_shape_decodes_back_compact_and_pretty() {
+        for x in [f64::NAN, f64::INFINITY, -0.0, 1.0, 1e300] {
+            for shape in shapes() {
+                assert_decodes_back(&sample(x, shape));
+            }
+        }
+        for shape in shapes() {
+            assert_decodes_back(&shape);
+            let text = to_string(&shape).unwrap();
+            assert_eq!(from_str::<Shape>(&text).unwrap(), shape);
+        }
+        let finite = sample(2.5, Shape::Pair(3, 4));
+        assert_eq!(
+            from_str::<Sample>(&to_string_pretty(&finite).unwrap()).unwrap(),
+            finite
+        );
+        assert_eq!(from_str::<Marker>("null").unwrap(), Marker);
+        assert_eq!(from_str::<Newtype>("3").unwrap(), Newtype(3));
+        // Non-finite floats print `null`, which reads back as NaN.
+        assert!(
+            from_str::<Sample>(&to_string(&sample(f64::INFINITY, Shape::Dot)).unwrap())
+                .unwrap()
+                .x
+                .is_nan()
+        );
+    }
+
+    #[test]
+    fn keys_in_any_order_unknown_skipped_first_duplicate_wins() {
+        let text =
+            r#"{"Named":{"label":"b","bogus":[1,{"x":null}],"on":true,"on":"no","label":null}}"#;
+        assert_eq!(
+            from_str::<Shape>(text).unwrap(),
+            Shape::Named {
+                on: true,
+                label: Some("b".to_string())
+            }
+        );
+        let reversed = r#"{"pair":[1,"a"],"id":42,"marker":null,"shape":"Dot","none":[],"items":[],"maybe":null,"x":1.5}"#;
+        let back = from_str::<Sample>(reversed).unwrap();
+        assert_eq!(
+            (back.x, back.id, back.pair),
+            (1.5, Newtype(42), (1, "a".to_string()))
+        );
+    }
+
+    #[test]
+    fn whitespace_between_tokens_is_skipped() {
+        let text = " \r\n{ \"Named\" :\t{ \"on\" : false ,\n \"label\" : null } } \n";
+        assert_eq!(
+            from_str::<Shape>(text).unwrap(),
+            Shape::Named {
+                on: false,
+                label: None
+            }
+        );
+        assert_eq!(
+            from_str::<Shape>("{ \"Pair\" : [ -1 ,\t2 ] }").unwrap(),
+            Shape::Pair(-1, 2)
+        );
+    }
+
+    #[test]
+    fn escaped_keys_and_values_decode() {
+        let text = r#"{"Named":{"o\u006e":true,"lab\"el":0,"label":"tab\t\"q\" \u00e9\/"}}"#;
+        assert_eq!(
+            from_str::<Shape>(text).unwrap(),
+            Shape::Named {
+                on: true,
+                label: Some("tab\t\"q\" é/".to_string())
+            }
+        );
+    }
+
+    fn err<T: Deserialize + std::fmt::Debug>(text: &str) -> String {
+        from_str::<T>(text).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn decode_errors_name_what_went_wrong() {
+        assert_eq!(
+            err::<Shape>(r#"{"Named":{"on":true}}"#),
+            "missing field `label` for Shape"
+        );
+        assert_eq!(
+            err::<Shape>(r#""Circle""#),
+            "unknown variant `Circle` for Shape"
+        );
+        assert_eq!(
+            err::<Shape>(r#"{"Circle":1}"#),
+            "unknown variant `Circle` for Shape"
+        );
+        // A data variant is never a bare string.
+        assert_eq!(
+            err::<Shape>(r#""Pair""#),
+            "unknown variant `Pair` for Shape"
+        );
+        assert_eq!(err::<Shape>(r#"{"Dot":1,"Wrap":2}"#), "expected Shape");
+        assert_eq!(
+            err::<Shape>(r#"{"Named":{"on":1,"label":null}}"#),
+            "expected bool"
+        );
+        assert_eq!(err::<Shape>(r#"{"Named":[]}"#), "expected object for Shape");
+        assert_eq!(
+            err::<Shape>(r#"{"Pair":[1]}"#),
+            "expected 2-element array for Shape"
+        );
+        assert_eq!(err::<Newtype>("4294967296"), "expected u32");
+        assert_eq!(err::<Newtype>("-1"), "expected u32");
+        assert_eq!(err::<Newtype>("1.0"), "expected u32");
+        assert_eq!(
+            err::<u64>("18446744073709551616"),
+            "invalid number `18446744073709551616`"
+        );
+        assert_eq!(err::<Shape>(r#""Dot" x"#), "trailing characters at byte 6");
+        assert_eq!(err::<Shape>(r#""Dot"#), "unterminated string");
+        assert_eq!(err::<String>(r#""a\q""#), "bad escape Some('q') at byte 3");
+    }
+
+    #[test]
+    fn decode_errors_follow_document_then_declaration_order() {
+        // A syntax error anywhere beats a type error before it.
+        assert_eq!(
+            err::<Shape>(r#"{"Named":{"on":1,"label":null}"#),
+            "expected `,` or `}` at byte 30"
+        );
+        assert_eq!(
+            err::<Shape>(r#"{"Named":{"on":1,"label":nul}}"#),
+            "unexpected Some('n') at byte 25"
+        );
+        // Among type errors, the first field in declaration order wins,
+        // whatever the order of the keys.
+        assert_eq!(
+            err::<Shape>(r#"{"Named":{"label":5,"on":1}}"#),
+            "expected bool"
+        );
+        assert_eq!(
+            err::<Shape>(r#"{"Named":{"label":5}}"#),
+            "missing field `on` for Shape"
+        );
+        // A tuple's length is checked before its elements.
+        assert_eq!(
+            err::<Shape>(r#"{"Pair":["x",1,2]}"#),
+            "expected 2-element array for Shape"
         );
     }
 

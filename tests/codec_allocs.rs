@@ -5,6 +5,10 @@
 //!   allocation count must not grow with the number of events.
 //! * `line_to_json` builds one `String` per line and must stay within
 //!   two allocations per line.
+//! * `line_from_json` decodes straight into the line's types, so it
+//!   allocates only what the decoded line owns: nothing for an event
+//!   without a `String` or `Vec`, one buffer for a `SlotDispatch`'s
+//!   consumers, at most the four `String`s of a cell header.
 //!
 //! The counting allocator below counts per thread, so tests running in
 //! parallel in this binary do not see each other's allocations.
@@ -13,7 +17,7 @@ use pc_bench::oracle::{self, CellMeta, TraceLine};
 use pcpower::core::{Experiment, StrategyKind};
 use pcpower::sim::SimDuration;
 use pcpower::trace::WorldCupConfig;
-use pcpower::trace_events::{Recorder, TraceLog};
+use pcpower::trace_events::{Recorder, TraceEvent, TraceLog};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -107,10 +111,9 @@ fn digest_allocations_do_not_grow_with_the_event_count() {
     );
 }
 
-#[test]
-fn line_to_json_makes_at_most_two_allocations_per_line() {
-    let log = recorded_cell(200);
-    let meta = CellMeta {
+/// The header line for `log`.
+fn header(log: &TraceLog) -> CellMeta {
+    CellMeta {
         experiment: "codec_allocs".into(),
         strategy: "PBPL".into(),
         pairs: 4,
@@ -124,8 +127,13 @@ fn line_to_json_makes_at_most_two_allocations_per_line() {
         events: log.events.len() as u64,
         dropped: log.dropped,
         digest: log.digest(),
-    };
-    let lines: Vec<TraceLine> = std::iter::once(TraceLine::Cell(meta))
+    }
+}
+
+#[test]
+fn line_to_json_makes_at_most_two_allocations_per_line() {
+    let log = recorded_cell(200);
+    let lines: Vec<TraceLine> = std::iter::once(TraceLine::Cell(header(&log)))
         .chain(log.events.iter().cloned().map(TraceLine::Ev))
         .collect();
     let (bytes, allocs) = counted(|| {
@@ -140,4 +148,33 @@ fn line_to_json_makes_at_most_two_allocations_per_line() {
         "{allocs} allocations for {} lines",
         lines.len()
     );
+}
+
+#[test]
+fn line_from_json_allocates_only_what_the_line_owns() {
+    let log = recorded_cell(200);
+    let mut meta = header(&log);
+    meta.scenario = "rate_shock".into();
+    let text = oracle::line_to_json(&TraceLine::Cell(meta.clone()));
+    let (parsed, allocs) = counted(|| oracle::line_from_json(&text));
+    assert_eq!(parsed.unwrap(), TraceLine::Cell(meta));
+    assert!(allocs <= 4, "{allocs} allocations for the header {text}");
+
+    let mut dispatches = 0;
+    for ev in &log.events {
+        let line = TraceLine::Ev(ev.clone());
+        let text = oracle::line_to_json(&line);
+        let (parsed, allocs) = counted(|| oracle::line_from_json(&text));
+        assert_eq!(parsed.unwrap(), line);
+        let owned = match &ev.kind {
+            TraceEvent::SlotDispatch { .. } => {
+                dispatches += 1;
+                1
+            }
+            TraceEvent::FaultInjected { .. } | TraceEvent::FaultRecovered { .. } => 1,
+            _ => 0,
+        };
+        assert_eq!(allocs, owned, "allocations decoding {text}");
+    }
+    assert!(dispatches > 0, "the cell dispatched no slot");
 }
