@@ -585,7 +585,7 @@ pub enum TraceLine {
 
 /// Serialises one export line as compact JSON.
 pub fn line_to_json(line: &TraceLine) -> String {
-    serde_json::to_string(line).expect("trace line serialisation is infallible")
+    serde_json::to_string(&LineRef::from(line)).expect("trace line serialisation is infallible")
 }
 
 /// Parses one export line.
@@ -599,23 +599,29 @@ pub fn line_from_json(text: &str) -> Result<TraceLine, String> {
 /// `String` per line. Every sweep's `--trace` export and the golden
 /// fixtures are written through here.
 pub fn write_cell(out: &mut impl io::Write, meta: &CellMeta, events: &[Event]) -> io::Result<()> {
-    write_line(out, &LineRef::Cell(meta))?;
-    for ev in events {
-        write_line(out, &LineRef::Ev(ev))?;
+    let lines = std::iter::once(LineRef::Cell(meta)).chain(events.iter().map(LineRef::Ev));
+    for line in lines {
+        serde_json::to_writer(&mut *out, &line).map_err(io::Error::other)?;
+        out.write_all(b"\n")?;
     }
     Ok(())
 }
 
-fn write_line(out: &mut impl io::Write, line: &LineRef<'_>) -> io::Result<()> {
-    serde_json::to_writer(&mut *out, line).map_err(io::Error::other)?;
-    out.write_all(b"\n")
-}
-
-/// A [`TraceLine`] over borrowed payloads; serialises to the same bytes.
+/// The export line format: a [`TraceLine`] over borrowed payloads.
+/// Both [`line_to_json`] and [`write_cell`] serialise through it.
 #[derive(Serialize)]
 enum LineRef<'a> {
     Cell(&'a CellMeta),
     Ev(&'a Event),
+}
+
+impl<'a> From<&'a TraceLine> for LineRef<'a> {
+    fn from(line: &'a TraceLine) -> Self {
+        match line {
+            TraceLine::Cell(meta) => LineRef::Cell(meta),
+            TraceLine::Ev(ev) => LineRef::Ev(ev),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1092,6 +1098,8 @@ mod tests {
             let text = line_to_json(&line);
             let back = line_from_json(&text).expect("parses");
             assert_eq!(back, line, "roundtrip mismatch for {text}");
+            // `TraceLine`'s own derive prints the export line format.
+            assert_eq!(serde_json::to_string(&line).unwrap(), text);
             // The derived writer prints what the parsed `Value` prints,
             // compact and pretty.
             let value: serde_json::Value = serde_json::from_str(&text).unwrap();

@@ -343,15 +343,6 @@ pub struct Deserializer<'de> {
     pos: usize,
 }
 
-/// A number token, classified as `serde_json` does: an integer that
-/// fits `u64`, a negative integer that fits `i64`, or anything with a
-/// fraction, exponent or inner sign.
-enum Number {
-    UInt(u64),
-    Int(i64),
-    Float(f64),
-}
-
 impl<'de> Deserializer<'de> {
     /// A cursor on the first token of `text` (leading whitespace is
     /// skipped).
@@ -645,20 +636,26 @@ impl<'de> Deserializer<'de> {
         Ok(())
     }
 
-    /// A number token. A non-negative integer of up to 19 digits (too
-    /// few to overflow a `u64`) is accumulated from its digits as they
-    /// are scanned; anything else parses its text.
-    #[inline]
-    fn number(&mut self) -> Result<Number, DeError> {
+    /// A number token, classified as `serde_json` does: a
+    /// [`Value::UInt`] for an integer that fits `u64` (summed from its
+    /// digits with overflow checks), a [`Value::Int`] for a negative
+    /// integer that fits `i64`, or a [`Value::Float`] for anything with
+    /// a fraction, exponent or inner sign.
+    ///
+    /// Always inlined, so a caller that matches on the numeric variants
+    /// carries no drop code for the others.
+    #[inline(always)]
+    fn number(&mut self) -> Result<Value, DeError> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
         if negative {
             self.pos += 1;
         }
-        let digits = self.pos;
-        let mut int = 0u64;
+        let (mut int, mut overflow) = (0u64, false);
         while let Some(b @ b'0'..=b'9') = self.peek() {
-            int = int.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+            let (tens, o1) = int.overflowing_mul(10);
+            let (sum, o2) = tens.overflowing_add(u64::from(b - b'0'));
+            (int, overflow) = (sum, overflow | o1 | o2);
             self.pos += 1;
         }
         let mut is_float = false;
@@ -669,20 +666,20 @@ impl<'de> Deserializer<'de> {
         let text = &self.text[start..self.pos];
         let invalid = || DeError(format!("invalid number `{text}`"));
         if is_float {
-            text.parse().map(Number::Float).map_err(|_| invalid())
+            text.parse().map(Value::Float).map_err(|_| invalid())
         } else if negative {
-            text.parse().map(Number::Int).map_err(|_| invalid())
-        } else if self.pos - digits < 20 {
-            Ok(Number::UInt(int))
+            text.parse().map(Value::Int).map_err(|_| invalid())
+        } else if overflow {
+            Err(invalid())
         } else {
-            text.parse().map(Number::UInt).map_err(|_| invalid())
+            Ok(Value::UInt(int))
         }
     }
 
     /// A number token, or `None` (consuming nothing) if the next value
     /// is not a number.
-    #[inline]
-    fn maybe_number(&mut self) -> Result<Option<Number>, DeError> {
+    #[inline(always)]
+    fn maybe_number(&mut self) -> Result<Option<Value>, DeError> {
         match self.peek() {
             Some(b'-' | b'0'..=b'9') => self.number().map(Some),
             _ => Ok(None),
@@ -721,9 +718,9 @@ macro_rules! de_int {
         impl Deserialize for $t {
             fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
                 let n = match de.maybe_number()? {
-                    Some(Number::UInt(n)) => <$t>::try_from(n).ok(),
-                    Some(Number::Int(n)) => <$t>::try_from(n).ok(),
-                    Some(Number::Float(_)) | None => None,
+                    Some(Value::UInt(n)) => <$t>::try_from(n).ok(),
+                    Some(Value::Int(n)) => <$t>::try_from(n).ok(),
+                    _ => None,
                 };
                 n.ok_or_else(|| DeError::expected(stringify!($t)))
             }
@@ -748,10 +745,10 @@ macro_rules! ser_de_float {
                     return Ok(<$t>::NAN);
                 }
                 match de.maybe_number()? {
-                    Some(Number::Float(x)) => Ok(x as $t),
-                    Some(Number::UInt(n)) => Ok(n as $t),
-                    Some(Number::Int(n)) => Ok(n as $t),
-                    None => Err(DeError::expected(stringify!($t))),
+                    Some(Value::Float(x)) => Ok(x as $t),
+                    Some(Value::UInt(n)) => Ok(n as $t),
+                    Some(Value::Int(n)) => Ok(n as $t),
+                    _ => Err(DeError::expected(stringify!($t))),
                 }
             }
         }
@@ -945,11 +942,7 @@ impl Deserialize for Value {
                 })?;
                 Ok(Value::Object(entries))
             }
-            Some(b'-' | b'0'..=b'9') => Ok(match de.number()? {
-                Number::UInt(n) => Value::UInt(n),
-                Number::Int(n) => Value::Int(n),
-                Number::Float(x) => Value::Float(x),
-            }),
+            Some(b'-' | b'0'..=b'9') => de.number(),
             _ => Err(de.unexpected()),
         }
     }

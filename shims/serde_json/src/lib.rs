@@ -312,9 +312,26 @@ mod tests {
             err::<u64>("18446744073709551616"),
             "invalid number `18446744073709551616`"
         );
+        assert_eq!(
+            err::<u64>("184467440737095516150"),
+            "invalid number `184467440737095516150`"
+        );
         assert_eq!(err::<Shape>(r#""Dot" x"#), "trailing characters at byte 6");
         assert_eq!(err::<Shape>(r#""Dot"#), "unterminated string");
         assert_eq!(err::<String>(r#""a\q""#), "bad escape Some('q') at byte 3");
+    }
+
+    #[test]
+    fn integers_take_every_digit_up_to_the_overflow() {
+        assert_eq!(from_str::<u64>("18446744073709551615").unwrap(), u64::MAX);
+        assert_eq!(from_str::<u64>("000000000000000000000042").unwrap(), 42);
+        assert_eq!(from_str::<i64>("-9223372036854775808").unwrap(), i64::MIN);
+        assert_eq!(
+            from_str::<Value>("18446744073709551616")
+                .unwrap_err()
+                .to_string(),
+            "invalid number `18446744073709551616`"
+        );
     }
 
     #[test]

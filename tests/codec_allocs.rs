@@ -8,7 +8,9 @@
 //! * `line_from_json` decodes straight into the line's types, so it
 //!   allocates only what the decoded line owns: nothing for an event
 //!   without a `String` or `Vec`, one buffer for a `SlotDispatch`'s
-//!   consumers, at most the four `String`s of a cell header.
+//!   consumers (grown as `Vec` grows, so one allocation up to four
+//!   consumers and one more each time the count passes a doubling), at
+//!   most the four `String`s of a cell header.
 //!
 //! The counting allocator below counts per thread, so tests running in
 //! parallel in this binary do not see each other's allocations.
@@ -17,7 +19,7 @@ use pc_bench::oracle::{self, CellMeta, TraceLine};
 use pcpower::core::{Experiment, StrategyKind};
 use pcpower::sim::SimDuration;
 use pcpower::trace::WorldCupConfig;
-use pcpower::trace_events::{Recorder, TraceEvent, TraceLog};
+use pcpower::trace_events::{Event, Recorder, TraceEvent, TraceLog};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -177,4 +179,21 @@ fn line_from_json_allocates_only_what_the_line_owns() {
         assert_eq!(allocs, owned, "allocations decoding {text}");
     }
     assert!(dispatches > 0, "the cell dispatched no slot");
+
+    // The consumers buffer starts at four entries and doubles.
+    for (consumers, expected) in [(1, 1), (4, 1), (5, 2), (8, 2), (9, 3), (17, 4)] {
+        let line = TraceLine::Ev(Event {
+            seq: 0,
+            t_ns: 0,
+            kind: TraceEvent::SlotDispatch {
+                core: 0,
+                slot: 0,
+                consumers: (0..consumers).collect(),
+            },
+        });
+        let text = oracle::line_to_json(&line);
+        let (parsed, allocs) = counted(|| oracle::line_from_json(&text));
+        assert_eq!(parsed.unwrap(), line);
+        assert_eq!(allocs, expected, "allocations decoding {text}");
+    }
 }
