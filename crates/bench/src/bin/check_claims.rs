@@ -2,7 +2,7 @@
 //! asserted programmatically. Exits non-zero if any claim fails — the
 //! one-command answer to "does the reproduction still hold?".
 //!
-//! Uses shorter runs than the figure runners (override with
+//! Uses shorter runs than the `suite` sweep (override with
 //! `PC_DURATION_MS`); claims are *shape* assertions (orderings, trends,
 //! signs), which are stable well below the full 50 s protocol.
 
@@ -30,7 +30,7 @@ impl Checker {
 
 fn main() {
     let mut protocol = Protocol::from_env();
-    // Default to a faster horizon than the figure runners; the claims
+    // Default to a faster horizon than the suite sweep; the claims
     // below are orderings, stable at 10 s.
     if std::env::var("PC_DURATION_MS").is_err() {
         protocol.duration = SimDuration::from_secs(10);

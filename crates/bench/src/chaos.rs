@@ -1,20 +1,21 @@
 //! Chaos sweep: every fault scenario crossed with a strategy panel,
 //! recovery metrics re-derived from the event trace.
 //!
-//! A chaos cell is a normal sweep cell plus a [`FaultPlan`] expanded
-//! from `(scenario, seed)` — bit-deterministic like everything else, so
+//! A chaos cell is a normal sweep cell whose recipe names a fault
+//! scenario; its [`FaultPlan`](pc_faults::FaultPlan) re-expands from
+//! `(scenario, seed)` — bit-deterministic like everything else, so
 //! `results/chaos.json` is byte-identical for any `--threads` value and
 //! CI gates it exactly like `suite.json`. Every cell records its event
 //! stream (the recovery metrics come from the trace, not the sim's own
 //! counters) and is replayed through the extended oracle: item and pool
 //! conservation must hold *through* every injected fault.
 
-use crate::exp::Protocol;
-use crate::oracle::{self, OracleReport};
-use crate::sweep::{parallel_map_costed, trace_capacity_from_env, DispatchStats, GridPoint};
-use pc_core::{Experiment, RunMetrics, StrategyKind};
-use pc_faults::{ExpandEnv, FaultPlan, FaultScenario};
-use pc_trace_events::{Recorder, TraceEvent, TraceLog, Trigger};
+use crate::exp::{save_json, Protocol};
+use crate::replay::fault_plan;
+use crate::sweep::{Cell, CellRun, GridPoint, Group, Report};
+use pc_core::StrategyKind;
+use pc_faults::FaultScenario;
+use pc_trace_events::{TraceEvent, TraceLog, Trigger};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -30,44 +31,6 @@ pub fn chaos_strategies() -> Vec<StrategyKind> {
     ]
 }
 
-/// Display label; the degraded PBPL variant is tagged so both rows of
-/// the comparison are distinguishable in reports and filters.
-pub fn chaos_strategy_label(strategy: &StrategyKind) -> String {
-    match strategy {
-        StrategyKind::Pbpl(cfg) if cfg.degrade.enabled => "PBPL(degraded)".to_string(),
-        other => other.name().to_string(),
-    }
-}
-
-/// One chaos cell: a strategy under a fault scenario at one replicate.
-#[derive(Debug, Clone)]
-pub struct ChaosCellSpec {
-    /// Strategy under test.
-    pub strategy: StrategyKind,
-    /// Fault scenario the plan expands from.
-    pub scenario: FaultScenario,
-    /// Replicate index; the seed is `base_seed + replicate`.
-    pub replicate: usize,
-}
-
-/// Expands the chaos grid in canonical order: scenario-major, then
-/// strategy, then replicate — the same contract as `SweepSpec::cells`.
-pub fn chaos_cells(strategies: &[StrategyKind], replicates: usize) -> Vec<ChaosCellSpec> {
-    let mut cells = Vec::new();
-    for scenario in FaultScenario::all() {
-        for strategy in strategies {
-            for replicate in 0..replicates {
-                cells.push(ChaosCellSpec {
-                    strategy: strategy.clone(),
-                    scenario,
-                    replicate,
-                });
-            }
-        }
-    }
-    cells
-}
-
 /// The single grid point every chaos cell runs at (the paper's five
 /// consumers on two cores, B₀ = 25 — Fig. 9's configuration).
 pub fn chaos_point() -> GridPoint {
@@ -78,69 +41,43 @@ pub fn chaos_point() -> GridPoint {
     }
 }
 
-/// Expands the cell's fault plan from `(scenario, seed)` and the run
-/// geometry. The pool total mirrors the sim's own construction
-/// (`B₀ · M` for batching strategies, zero otherwise).
-pub fn chaos_plan(protocol: &Protocol, cell: &ChaosCellSpec) -> FaultPlan {
-    let point = chaos_point();
-    let env = ExpandEnv {
-        horizon_ns: protocol.duration.as_nanos(),
-        pairs: point.pairs as u32,
-        cores: point.cores as u32,
-        pool_total: if cell.strategy.is_batching() {
-            (point.buffer * point.pairs) as u64
-        } else {
-            0
-        },
-    };
-    FaultPlan::expand(
-        cell.scenario,
-        protocol.base_seed + cell.replicate as u64,
-        &env,
-    )
-}
-
-/// Runs one chaos cell, always traced — the recovery metrics below are
-/// derived from the event stream.
-pub fn run_chaos_cell(protocol: &Protocol, cell: &ChaosCellSpec) -> (RunMetrics, TraceLog) {
-    let point = chaos_point();
-    let recorder = Recorder::bounded(trace_capacity_from_env());
-    let metrics = Experiment::builder()
-        .pairs(point.pairs)
-        .cores(point.cores)
-        .duration(protocol.duration)
-        .strategy(cell.strategy.clone())
-        .trace(protocol.trace.clone())
-        .seed(protocol.base_seed + cell.replicate as u64)
-        .buffer_capacity(point.buffer)
-        .faults(chaos_plan(protocol, cell))
-        .record_events(recorder.handle())
-        .run();
-    (metrics, recorder.take())
-}
-
-/// Runs `cells` on `threads` workers; results in cell order.
-pub fn execute_chaos(
+/// Replicate `replicate` of `strategy` under `scenario` at the chaos
+/// point, named `{scenario}/{strategy}`.
+pub fn chaos_cell(
     protocol: &Protocol,
-    cells: &[ChaosCellSpec],
-    threads: usize,
-) -> Vec<(RunMetrics, TraceLog)> {
-    execute_chaos_costed(protocol, cells, threads).0
+    strategy: StrategyKind,
+    scenario: FaultScenario,
+    replicate: usize,
+) -> Cell {
+    let mut cell = Cell::new(
+        protocol,
+        format!("chaos_{}", scenario.name()),
+        protocol.workload_label(),
+        strategy,
+        false,
+        chaos_point(),
+        replicate,
+    );
+    cell.point = format!("{}/{}", scenario.name(), cell.recipe.strategy);
+    cell.recipe.scenario = scenario.name().to_string();
+    cell
 }
 
-/// [`execute_chaos`] with dispatch telemetry. Every chaos cell runs the
-/// same geometry (M = 5, B₀ = 25), so costs are uniform and the claim
-/// order stays canonical — this variant exists for the per-cell timings
-/// and worker-utilization numbers in `BENCH_chaos.json`.
-pub fn execute_chaos_costed(
-    protocol: &Protocol,
-    cells: &[ChaosCellSpec],
-    threads: usize,
-) -> (Vec<(RunMetrics, TraceLog)>, DispatchStats) {
-    let costs = vec![0u64; cells.len()];
-    parallel_map_costed(cells, threads, &costs, |cell| {
-        run_chaos_cell(protocol, cell)
-    })
+/// Expands the chaos grid into one group, scenario-major, then
+/// strategy, then replicate.
+pub(crate) fn expand(protocol: &Protocol) -> Vec<Group> {
+    let mut cells = Vec::new();
+    for scenario in FaultScenario::all() {
+        for strategy in chaos_strategies() {
+            for replicate in 0..protocol.replicates {
+                cells.push(chaos_cell(protocol, strategy.clone(), scenario, replicate));
+            }
+        }
+    }
+    vec![Group {
+        name: "chaos".to_string(),
+        cells,
+    }]
 }
 
 /// Recovery metrics of one chaos cell, re-derived from its event trace.
@@ -225,66 +162,125 @@ pub fn recovery_metrics(log: &TraceLog) -> RecoveryMetrics {
 
 /// One row of `results/chaos.json`: cell identity, the determinism
 /// currency (energy bits, digest), and the recovery metrics.
-#[derive(Debug, Clone, Serialize)]
-pub struct ChaosCellReport {
+#[derive(Serialize)]
+struct ChaosCellReport {
     /// Strategy label (`PBPL(degraded)` tags the watchdog variant).
-    pub strategy: String,
+    strategy: String,
     /// Scenario name (stable filter key).
-    pub scenario: String,
-    /// Seed the cell ran under.
-    pub seed: u64,
+    scenario: String,
+    seed: u64,
     /// Faults in the expanded plan.
-    pub plan_faults: usize,
+    plan_faults: usize,
     /// Raw bits of the energy reading (exact-equality currency).
-    pub energy_j_bits: u64,
-    /// Energy reading for human eyes.
-    pub energy_j: f64,
-    /// Items produced over the run.
-    pub items_produced: u64,
-    /// Items consumed (== produced on a clean run).
-    pub items_consumed: u64,
+    energy_j_bits: u64,
+    energy_j: f64,
+    items_produced: u64,
+    items_consumed: u64,
     /// Consumer wakeups charged by the power model.
-    pub wakeups: u64,
+    wakeups: u64,
     /// Events the cell's recorder captured.
-    pub trace_events: u64,
+    trace_events: u64,
     /// FNV-1a digest of the cell's event stream.
-    pub trace_digest: u64,
-    /// Recovery metrics derived from the trace.
-    pub recovery: RecoveryMetrics,
+    trace_digest: u64,
+    recovery: RecoveryMetrics,
 }
 
-/// Builds the report row for one executed cell (oracle result handled
-/// separately — violations fail the run rather than ride in the JSON).
-pub fn chaos_cell_report(
-    protocol: &Protocol,
-    cell: &ChaosCellSpec,
-    metrics: &RunMetrics,
-    log: &TraceLog,
-) -> ChaosCellReport {
-    ChaosCellReport {
-        strategy: chaos_strategy_label(&cell.strategy),
-        scenario: cell.scenario.name().to_string(),
-        seed: protocol.base_seed + cell.replicate as u64,
-        plan_faults: chaos_plan(protocol, cell).len(),
-        energy_j_bits: metrics.energy.energy_j.to_bits(),
-        energy_j: metrics.energy.energy_j,
-        items_produced: metrics.items_produced,
-        items_consumed: metrics.items_consumed,
-        wakeups: metrics.energy.wakeups,
-        trace_events: log.events.len() as u64,
-        trace_digest: log.digest(),
-        recovery: recovery_metrics(log),
+#[derive(Default)]
+struct ChaosReport {
+    cells: Vec<ChaosCellReport>,
+}
+
+#[derive(Serialize)]
+struct ChaosFile<'a> {
+    /// Bump on any change to this file's structure.
+    schema_version: u32,
+    duration_ms: u64,
+    replicates: usize,
+    base_seed: u64,
+    trace_mean_rate: f64,
+    pairs: usize,
+    cores: usize,
+    buffer: usize,
+    cells: &'a [ChaosCellReport],
+}
+
+impl Report for ChaosReport {
+    fn add(&mut self, _: &Protocol, group: &Group, runs: &[CellRun]) {
+        println!(
+            "{:<16} {:<16} {:>8} {:>8} {:>7} {:>7} {:>7} {:>6} {:>12}",
+            "scenario",
+            "strategy",
+            "items",
+            "wakeups",
+            "ovf",
+            "consec",
+            "sched",
+            "burst",
+            "rec_lag_us"
+        );
+        for (cell, run) in group.cells.iter().zip(runs) {
+            let log = run.log.as_ref().expect("chaos cells are recorded");
+            let (meta, metrics) = (&run.meta, &run.metrics);
+            let row = ChaosCellReport {
+                strategy: meta.strategy.clone(),
+                scenario: meta.scenario.clone(),
+                seed: meta.seed,
+                plan_faults: fault_plan(meta, &cell.strategy)
+                    .expect("chaos scenarios are named")
+                    .len(),
+                energy_j_bits: metrics.energy.energy_j.to_bits(),
+                energy_j: metrics.energy.energy_j,
+                items_produced: metrics.items_produced,
+                items_consumed: metrics.items_consumed,
+                wakeups: metrics.energy.wakeups,
+                trace_events: meta.events,
+                trace_digest: meta.digest,
+                recovery: recovery_metrics(log),
+            };
+            println!(
+                "{:<16} {:<16} {:>8} {:>8} {:>7} {:>7} {:>7} {:>6} {:>12.1}",
+                row.scenario,
+                row.strategy,
+                row.items_consumed,
+                row.wakeups,
+                row.recovery.overflow_wakes,
+                row.recovery.consec_overflow_wakes,
+                row.recovery.scheduled_wakes,
+                row.recovery.max_overflow_burst,
+                row.recovery.max_recovery_lag_ns as f64 / 1_000.0
+            );
+            self.cells.push(row);
+        }
+    }
+
+    fn save(&self, protocol: &Protocol) {
+        let point = chaos_point();
+        save_json(
+            "chaos",
+            &ChaosFile {
+                schema_version: 1,
+                duration_ms: protocol.duration.as_nanos() / 1_000_000,
+                replicates: protocol.replicates,
+                base_seed: protocol.base_seed,
+                trace_mean_rate: protocol.trace.mean_rate,
+                pairs: point.pairs,
+                cores: point.cores,
+                buffer: point.buffer,
+                cells: &self.cells,
+            },
+        );
     }
 }
 
-/// Replays the extended oracle over one cell's trace.
-pub fn chaos_oracle(log: &TraceLog) -> OracleReport {
-    oracle::check(log)
+/// An empty chaos report.
+pub(crate) fn report() -> Box<dyn Report> {
+    Box::<ChaosReport>::default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{execute, FleetMap};
     use pc_sim::SimDuration;
     use pc_trace::WorldCupConfig;
 
@@ -300,68 +296,78 @@ mod tests {
 
     #[test]
     fn grid_is_scenarios_by_strategies_by_replicates() {
-        let cells = chaos_cells(&chaos_strategies(), 2);
+        let mut p = tiny_protocol();
+        p.replicates = 2;
+        let groups = expand(&p);
+        assert_eq!(groups.len(), 1);
+        let cells = &groups[0].cells;
         assert_eq!(cells.len(), 8 * 5 * 2);
-        assert_eq!(cells[0].scenario, FaultScenario::Baseline);
-        assert_eq!(cells[0].replicate, 0);
-        assert_eq!(cells[1].replicate, 1);
+        assert_eq!(cells[0].point, "baseline/Mutex");
+        assert_eq!(cells[0].recipe.seed, 11);
+        assert_eq!(cells[1].recipe.seed, 12);
+        assert_eq!(cells[0].recipe.experiment, "chaos_baseline");
     }
 
     #[test]
     fn baseline_plan_is_empty_and_faulty_scenarios_are_not() {
-        let p = tiny_protocol();
-        for cell in chaos_cells(&chaos_strategies(), 1) {
-            let plan = chaos_plan(&p, &cell);
-            if cell.scenario == FaultScenario::Baseline {
+        for cell in &expand(&tiny_protocol())[0].cells {
+            let plan = fault_plan(&cell.recipe, &cell.strategy).unwrap();
+            if cell.recipe.scenario == "baseline" {
                 assert!(plan.is_empty());
             } else {
-                assert!(!plan.is_empty(), "{} plan empty", cell.scenario.name());
+                assert!(!plan.is_empty(), "{} plan empty", cell.point);
             }
         }
+    }
+
+    fn run(cells: &[Cell], threads: usize) -> Vec<CellRun> {
+        let (runs, _) = execute(cells, &FleetMap::new(), threads, 1, true);
+        runs.into_iter().map(|r| r.unwrap()).collect()
     }
 
     #[test]
     fn chaos_cells_run_clean_through_the_oracle() {
         let p = tiny_protocol();
         // One representative faulty scenario per strategy class keeps
-        // the test fast; the chaos binary covers the full cross.
-        for (strategy, scenario) in [
+        // the test fast; the chaos sweep covers the full cross.
+        let cells: Vec<Cell> = [
             (StrategyKind::Mutex, FaultScenario::RateShock),
             (StrategyKind::Bp, FaultScenario::ConsumerSlowdown),
             (StrategyKind::pbpl_default(), FaultScenario::DroppedWakeup),
             (StrategyKind::pbpl_degraded(), FaultScenario::PoolSqueeze),
             (StrategyKind::pbpl_degraded(), FaultScenario::Chaos),
-        ] {
-            let cell = ChaosCellSpec {
-                strategy,
-                scenario,
-                replicate: 0,
-            };
-            let (metrics, log) = run_chaos_cell(&p, &cell);
+        ]
+        .into_iter()
+        .map(|(strategy, scenario)| chaos_cell(&p, strategy, scenario, 0))
+        .collect();
+        for (cell, run) in cells.iter().zip(run(&cells, 2)) {
+            let metrics = &run.metrics;
             assert_eq!(metrics.items_produced, metrics.items_consumed);
-            let report = chaos_oracle(&log);
-            assert!(
-                report.is_clean(),
-                "{} under {}: {:?}",
-                chaos_strategy_label(&cell.strategy),
-                scenario.name(),
-                report.violations
-            );
+            let log = run.log.unwrap();
+            let report = crate::oracle::check(&log);
+            assert!(report.is_clean(), "{}: {:?}", cell.point, report.violations);
             let rec = recovery_metrics(&log);
             assert_eq!(rec.faults_injected, rec.faults_recovered);
-            assert!(rec.faults_injected > 0, "{}", scenario.name());
+            assert!(rec.faults_injected > 0, "{}", cell.point);
         }
     }
 
     #[test]
     fn thread_count_does_not_change_chaos_bits() {
         let p = tiny_protocol();
-        let cells = chaos_cells(&[StrategyKind::Bp, StrategyKind::pbpl_degraded()], 1);
-        let serial = execute_chaos(&p, &cells, 1);
-        let parallel = execute_chaos(&p, &cells, 4);
-        for ((ms, ls), (mp, lp)) in serial.iter().zip(&parallel) {
-            assert_eq!(ms.energy.energy_j.to_bits(), mp.energy.energy_j.to_bits());
-            assert_eq!(ls.digest(), lp.digest());
+        let cells: Vec<Cell> = expand(&p)[0]
+            .cells
+            .iter()
+            .filter(|c| c.strategy == StrategyKind::Bp || c.recipe.strategy == "PBPL(degraded)")
+            .cloned()
+            .collect();
+        assert_eq!(cells.len(), 16);
+        for (s, q) in run(&cells, 1).iter().zip(&run(&cells, 4)) {
+            assert_eq!(
+                s.metrics.energy.energy_j.to_bits(),
+                q.metrics.energy.energy_j.to_bits()
+            );
+            assert_eq!(s.meta.digest, q.meta.digest);
         }
     }
 

@@ -6,11 +6,13 @@
 //! for each metric. `PC_DURATION_MS`, `PC_REPLICATES` and `PC_SEED`
 //! override the defaults so the full suite can be smoke-tested quickly.
 
+use crate::sweep::{execute, Cell, FleetMap, GridPoint};
 use pc_core::{RunMetrics, StrategyKind};
 use pc_sim::SimDuration;
 use pc_stats::{HalfWidth, Summary};
 use pc_trace::WorldCupConfig;
 use serde::Serialize;
+use std::borrow::Borrow;
 
 /// Protocol parameters shared by all experiment runners.
 #[derive(Debug, Clone)]
@@ -32,15 +34,23 @@ impl Protocol {
     /// The paper's protocol, with environment overrides:
     /// `PC_DURATION_MS`, `PC_REPLICATES`, `PC_SEED`, `PC_THREADS`.
     pub fn from_env() -> Self {
+        Self::from_env_or(50_000, 3)
+    }
+
+    /// [`Protocol::from_env`] with a sweep's own defaults for the
+    /// horizon (ms) and the replicate count, which the same variables
+    /// override. Unparsable values fall back to the defaults; a zero
+    /// horizon is rejected and replicates clamp to at least 1.
+    pub fn from_env_or(duration_ms: u64, replicates: usize) -> Self {
         let duration_ms = std::env::var("PC_DURATION_MS")
             .ok()
             .and_then(|v| v.parse().ok())
             .filter(|&ms: &u64| ms > 0)
-            .unwrap_or(50_000u64);
+            .unwrap_or(duration_ms);
         let replicates = std::env::var("PC_REPLICATES")
             .ok()
             .and_then(|v| v.parse().ok())
-            .unwrap_or(3usize);
+            .unwrap_or(replicates);
         let base_seed = std::env::var("PC_SEED")
             .ok()
             .and_then(|v| v.parse().ok())
@@ -54,6 +64,18 @@ impl Protocol {
         }
     }
 
+    /// The registered name of the World-Cup workload `trace` holds —
+    /// the `workload` of every recipe this protocol makes.
+    ///
+    /// # Panics
+    ///
+    /// If `trace` matches no registered configuration: its cells could
+    /// not be replayed.
+    pub(crate) fn workload_label(&self) -> &'static str {
+        crate::replay::worldcup_workload_label(&self.trace)
+            .expect("trace config matches no named workload — unreplayable")
+    }
+
     /// Runs one strategy configuration across the replicates — a
     /// one-point, one-strategy sweep on the parallel engine; replicates
     /// run concurrently up to `self.threads`, results in replicate order.
@@ -64,16 +86,28 @@ impl Protocol {
         cores: usize,
         buffer: usize,
     ) -> Vec<RunMetrics> {
-        let spec = crate::sweep::SweepSpec {
-            strategies: vec![strategy],
-            points: vec![crate::sweep::GridPoint {
-                pairs,
-                cores,
-                buffer,
-            }],
+        let point = GridPoint {
+            pairs,
+            cores,
+            buffer,
         };
-        let cells = spec.cells(self.replicates);
-        crate::sweep::execute(self, &cells, self.threads)
+        let cells: Vec<Cell> = (0..self.replicates)
+            .map(|replicate| {
+                Cell::new(
+                    self,
+                    String::new(),
+                    self.workload_label(),
+                    strategy.clone(),
+                    false,
+                    point,
+                    replicate,
+                )
+            })
+            .collect();
+        let (runs, _) = execute(&cells, &FleetMap::new(), self.threads, 1, false);
+        runs.into_iter()
+            .map(|run| run.unwrap_or_else(|e| panic!("{e}")).metrics)
+            .collect()
     }
 }
 
@@ -103,11 +137,12 @@ pub struct Row {
 }
 
 impl Row {
-    /// Summarises replicate metrics into a row.
-    pub fn from_runs(runs: &[RunMetrics]) -> Row {
-        let get = |f: &dyn Fn(&RunMetrics) -> f64| runs.iter().map(f).collect::<Vec<_>>();
+    /// Summarises replicate metrics (owned or borrowed) into a row.
+    pub fn from_runs<R: Borrow<RunMetrics>>(runs: &[R]) -> Row {
+        let get =
+            |f: &dyn Fn(&RunMetrics) -> f64| runs.iter().map(|m| f(m.borrow())).collect::<Vec<_>>();
         Row {
-            name: runs[0].strategy.clone(),
+            name: runs[0].borrow().strategy.clone(),
             power_mw: Summary::of("power_mw", &get(&|m| m.extra_power_mw())),
             wakeups_per_sec: Summary::of("wakeups_per_sec", &get(&|m| m.wakeups_per_sec())),
             usage_ms_per_sec: Summary::of("usage_ms_per_sec", &get(&|m| m.usage_ms_per_sec())),
@@ -129,15 +164,6 @@ impl Row {
             items: Summary::of("items", &get(&|m| m.items_consumed as f64)),
         }
     }
-}
-
-/// Finds the row for a strategy by its display name, panicking with the
-/// name when absent (all runners construct their own rows, so absence is
-/// a programming error).
-pub fn row<'a>(rows: &'a [Row], name: &str) -> &'a Row {
-    rows.iter()
-        .find(|r| r.name == name)
-        .unwrap_or_else(|| panic!("no row named {name}"))
 }
 
 /// Signed percentage change of `ours` versus `baseline` (−20.0 = 20%

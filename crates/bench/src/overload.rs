@@ -12,25 +12,25 @@
 //! workload, where the supervisor's fleet-wide escalation actually has
 //! a fleet to escalate over.
 //!
-//! `PBPL(overload)` is vanilla PBPL plus [`OverloadConfig::standard`] —
+//! `PBPL(overload)` is vanilla PBPL plus
+//! [`OverloadConfig::standard`](pc_core::OverloadConfig::standard) —
 //! overload control is an experiment knob orthogonal to the strategy,
-//! and the label alone is the complete recipe (`replay` rebuilds such
-//! cells from it; see `replay::label_overloaded`). Every cell is traced
+//! and the label alone is the complete recipe (the runner applies the
+//! knob from it; see `replay::label_overloaded`). Every cell is traced
 //! internally and replayed through the extended oracle; the shed ledger
 //! (`produced == consumed + shed`, every `ItemShed` inside a paired
 //! overload window whose `OverloadCleared.shed` matches) must hold for
 //! every cell, and shed must be exactly zero on the three rows that run
 //! without overload control.
 
-use crate::chaos::chaos_strategy_label;
-use crate::exp::Protocol;
-use crate::oracle::{self, OracleReport};
-use crate::sweep::{parallel_map_costed, trace_capacity_from_env, DispatchStats, GridPoint};
-use pc_core::{Experiment, OverloadConfig, RunMetrics, StrategyKind};
-use pc_faults::{ExpandEnv, FaultPlan, FaultScenario};
-use pc_trace::PlanetConfig;
-use pc_trace_events::{Recorder, TraceLog};
+use crate::exp::{save_json, Protocol};
+use crate::replay::{fault_plan, planet_workload_label, strategy_label};
+use crate::sweep::{Cell, CellRun, GridPoint, Group, Report};
+use pc_core::StrategyKind;
+use pc_faults::{FaultPlan, FaultScenario};
 use serde::Serialize;
+
+pub use crate::scale::planet_workload;
 
 /// Geometry of an overload cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +62,8 @@ impl OverloadPoint {
 pub struct OverloadCellSpec {
     /// Strategy under test.
     pub strategy: StrategyKind,
-    /// Whether the cell runs under [`OverloadConfig::standard`].
+    /// Whether the cell runs under
+    /// [`OverloadConfig::standard`](pc_core::OverloadConfig::standard).
     pub overload: bool,
     /// Fault scenario the plan expands from.
     pub scenario: FaultScenario,
@@ -92,18 +93,6 @@ pub fn overload_scenarios() -> Vec<FaultScenario> {
         .collect()
 }
 
-/// Display label of a panel row; the `(overload)` suffix marks the
-/// overload-control knob and is the complete replay recipe (the cell
-/// ran under exactly [`OverloadConfig::standard`]).
-pub fn overload_strategy_label(strategy: &StrategyKind, overload: bool) -> String {
-    let base = chaos_strategy_label(strategy);
-    if overload {
-        format!("{base}(overload)")
-    } else {
-        base
-    }
-}
-
 /// Stable cell name used for exact-match filtering:
 /// `{scenario}/{strategy}`, with the planet-scale point tagged
 /// `{scenario}@m100` so the two flash-crowd geometries stay distinct.
@@ -115,7 +104,7 @@ pub fn overload_cell_name(cell: &OverloadCellSpec) -> String {
     format!(
         "{}/{}",
         scenario,
-        overload_strategy_label(&cell.strategy, cell.overload)
+        strategy_label(&cell.strategy, cell.overload)
     )
 }
 
@@ -151,187 +140,188 @@ pub fn overload_cells(replicates: usize) -> Vec<OverloadCellSpec> {
     cells
 }
 
-/// Expands the cell's fault plan from `(scenario, seed)` and the cell's
-/// own geometry — the same contract as `chaos::chaos_plan`, just
-/// point-parametric.
-pub fn overload_plan(protocol: &Protocol, cell: &OverloadCellSpec) -> FaultPlan {
-    let point = cell.point.grid();
-    let env = ExpandEnv {
-        horizon_ns: protocol.duration.as_nanos(),
-        pairs: point.pairs as u32,
-        cores: point.cores as u32,
-        pool_total: if cell.strategy.is_batching() {
-            (point.buffer * point.pairs) as u64
-        } else {
-            0
-        },
+/// The sweep cell of `spec` under `protocol`: the chaos point on the
+/// protocol's World-Cup workload, or the m100 block on the planet
+/// fleet, named [`overload_cell_name`].
+pub(crate) fn overload_cell(protocol: &Protocol, spec: &OverloadCellSpec) -> Cell {
+    let (experiment, workload) = match spec.point {
+        OverloadPoint::Chaos => (
+            format!("overload_{}", spec.scenario.name()),
+            protocol.workload_label(),
+        ),
+        OverloadPoint::PlanetM100 => (
+            format!("overload_{}_m100", spec.scenario.name()),
+            planet_workload_label(&planet_workload(protocol))
+                .expect("the planet workload is a named configuration"),
+        ),
     };
-    FaultPlan::expand(
-        cell.scenario,
-        protocol.base_seed + cell.replicate as u64,
-        &env,
-    )
+    let mut cell = Cell::new(
+        protocol,
+        experiment,
+        workload,
+        spec.strategy.clone(),
+        spec.overload,
+        spec.point.grid(),
+        spec.replicate,
+    );
+    cell.point = overload_cell_name(spec);
+    cell.recipe.scenario = spec.scenario.name().to_string();
+    cell
 }
 
-/// The planet workload the m100 cells run: `scale_default` with the
-/// horizon stretched to the protocol duration — exactly the
-/// reconstruction `replay::rerun_cell` performs for the
-/// `"planet_scale"` workload name, which keeps the export replayable.
-pub fn planet_workload(protocol: &Protocol) -> PlanetConfig {
-    let mut cfg = PlanetConfig::scale_default();
-    cfg.base.horizon = pc_sim::SimTime::ZERO + protocol.duration;
-    cfg
+/// The fault plan `spec` runs under: its recipe's scenario re-expanded
+/// from `(scenario, seed)` and the cell's own geometry.
+pub fn overload_plan(protocol: &Protocol, spec: &OverloadCellSpec) -> FaultPlan {
+    fault_plan(&overload_cell(protocol, spec).recipe, &spec.strategy)
+        .expect("overload scenarios are named")
 }
 
-/// Runs one overload cell, always traced — the oracle replay and the
-/// shed accounting both come from the event stream.
-pub fn run_overload_cell(protocol: &Protocol, cell: &OverloadCellSpec) -> (RunMetrics, TraceLog) {
-    let point = cell.point.grid();
-    let seed = protocol.base_seed + cell.replicate as u64;
-    let recorder = Recorder::bounded(trace_capacity_from_env());
-    let mut builder = Experiment::builder()
-        .pairs(point.pairs)
-        .cores(point.cores)
-        .duration(protocol.duration)
-        .strategy(cell.strategy.clone())
-        .seed(seed)
-        .buffer_capacity(point.buffer)
-        .faults(overload_plan(protocol, cell))
-        .record_events(recorder.handle());
-    if cell.overload {
-        builder = builder.overload(OverloadConfig::standard());
-    }
-    builder = match cell.point {
-        OverloadPoint::Chaos => builder.trace(protocol.trace.clone()),
-        OverloadPoint::PlanetM100 => {
-            builder.traces(planet_workload(protocol).traces(seed, point.pairs))
-        }
-    };
-    let metrics = builder.run();
-    (metrics, recorder.take())
-}
-
-/// Runs `cells` on the engine with cost-aware (LPT) dispatch — the m100
-/// cells are 20× an M = 5 cell, so they are claimed first. Results are
-/// in cell order for any thread count; the stats are sidecar-only.
-pub fn execute_overload_costed(
-    protocol: &Protocol,
-    cells: &[OverloadCellSpec],
-    threads: usize,
-) -> (Vec<(RunMetrics, TraceLog)>, DispatchStats) {
-    let costs: Vec<u64> = cells
-        .iter()
-        .map(|cell| {
-            protocol
-                .duration
-                .as_nanos()
-                .saturating_mul(cell.point.grid().pairs as u64)
-        })
-        .collect();
-    parallel_map_costed(cells, threads, &costs, |cell| {
-        run_overload_cell(protocol, cell)
-    })
+/// Expands [`overload_cells`] into one group.
+pub(crate) fn expand(protocol: &Protocol) -> Vec<Group> {
+    vec![Group {
+        name: "overload".to_string(),
+        cells: overload_cells(protocol.replicates)
+            .iter()
+            .map(|spec| overload_cell(protocol, spec))
+            .collect(),
+    }]
 }
 
 /// One row of `results/overload.json`: cell identity, the determinism
 /// currency (energy bits, digest), and the shed/deadline accounting.
-#[derive(Debug, Clone, Serialize)]
-pub struct OverloadCellReport {
+#[derive(Serialize)]
+struct OverloadCellReport {
     /// Exact-match filter name (`{scenario}/{strategy}`).
-    pub cell: String,
+    cell: String,
     /// Panel row label (`PBPL(overload)` tags the overload knob).
-    pub strategy: String,
+    strategy: String,
     /// Scenario name (the pure name — `@m100` lives in `cell` only).
-    pub scenario: String,
-    /// Pairs (the paper's M).
-    pub pairs: usize,
-    /// Cores.
-    pub cores: usize,
-    /// Per-consumer base buffer capacity.
-    pub buffer: usize,
-    /// Seed the cell ran under.
-    pub seed: u64,
+    scenario: String,
+    pairs: u64,
+    cores: u64,
+    buffer: u64,
+    seed: u64,
     /// Faults in the expanded plan.
-    pub plan_faults: usize,
+    plan_faults: usize,
     /// Raw bits of the energy reading (exact-equality currency).
-    pub energy_j_bits: u64,
-    /// Energy reading for human eyes.
-    pub energy_j: f64,
+    energy_j_bits: u64,
+    energy_j: f64,
     /// Items produced over the run (shed items included).
-    pub items_produced: u64,
-    /// Items consumed.
-    pub items_consumed: u64,
+    items_produced: u64,
+    items_consumed: u64,
     /// Arrivals rejected by the admission controller; always 0 on the
     /// non-overload rows, and `produced == consumed + shed` everywhere.
-    pub items_shed: u64,
+    items_shed: u64,
     /// Shed share of production, percent.
-    pub shed_pct: f64,
+    shed_pct: f64,
     /// Overload windows entered across the fleet (admission trips plus
     /// supervisor escalations).
-    pub overload_windows: u64,
+    overload_windows: u64,
     /// Consumed items that missed the overload deadline (counted only
     /// on overload rows — the deadline is undefined otherwise).
-    pub deadline_misses: u64,
-    /// Consumer wakeups charged by the power model.
-    pub wakeups: u64,
-    /// Scheduled (timer) wakeups.
-    pub scheduled_wakeups: u64,
-    /// Overflow-forced wakeups.
-    pub overflow_wakeups: u64,
+    deadline_misses: u64,
+    wakeups: u64,
+    scheduled_wakeups: u64,
+    overflow_wakeups: u64,
     /// Events the cell's recorder captured.
-    pub trace_events: u64,
+    trace_events: u64,
     /// FNV-1a digest of the cell's event stream.
-    pub trace_digest: u64,
+    trace_digest: u64,
 }
 
-/// Builds the report row for one executed cell (oracle result handled
-/// separately — violations fail the run rather than ride in the JSON).
-pub fn overload_cell_report(
-    protocol: &Protocol,
-    cell: &OverloadCellSpec,
-    metrics: &RunMetrics,
-    log: &TraceLog,
-) -> OverloadCellReport {
-    let point = cell.point.grid();
-    let shed_pct = if metrics.items_produced == 0 {
-        0.0
-    } else {
-        metrics.items_shed as f64 / metrics.items_produced as f64 * 100.0
-    };
-    OverloadCellReport {
-        cell: overload_cell_name(cell),
-        strategy: overload_strategy_label(&cell.strategy, cell.overload),
-        scenario: cell.scenario.name().to_string(),
-        pairs: point.pairs,
-        cores: point.cores,
-        buffer: point.buffer,
-        seed: protocol.base_seed + cell.replicate as u64,
-        plan_faults: overload_plan(protocol, cell).len(),
-        energy_j_bits: metrics.energy.energy_j.to_bits(),
-        energy_j: metrics.energy.energy_j,
-        items_produced: metrics.items_produced,
-        items_consumed: metrics.items_consumed,
-        items_shed: metrics.items_shed,
-        shed_pct,
-        overload_windows: metrics.pairs.iter().map(|p| p.overload_windows).sum(),
-        deadline_misses: metrics.deadline_misses(),
-        wakeups: metrics.energy.wakeups,
-        scheduled_wakeups: metrics.scheduled_wakeups(),
-        overflow_wakeups: metrics.overflow_wakeups(),
-        trace_events: log.events.len() as u64,
-        trace_digest: log.digest(),
+#[derive(Default)]
+struct OverloadReport {
+    cells: Vec<OverloadCellReport>,
+}
+
+#[derive(Serialize)]
+struct OverloadFile<'a> {
+    /// Bump on any change to this file's structure.
+    schema_version: u32,
+    duration_ms: u64,
+    replicates: usize,
+    base_seed: u64,
+    trace_mean_rate: f64,
+    cells: &'a [OverloadCellReport],
+}
+
+impl Report for OverloadReport {
+    fn add(&mut self, _: &Protocol, group: &Group, runs: &[CellRun]) {
+        println!(
+            "{:<24} {:<16} {:>9} {:>8} {:>7} {:>8} {:>7} {:>8}",
+            "scenario", "strategy", "items", "shed", "shed%", "windows", "misses", "wakeups"
+        );
+        for (cell, run) in group.cells.iter().zip(runs) {
+            let (meta, metrics) = (&run.meta, &run.metrics);
+            let shed_pct = if metrics.items_produced == 0 {
+                0.0
+            } else {
+                metrics.items_shed as f64 / metrics.items_produced as f64 * 100.0
+            };
+            let row = OverloadCellReport {
+                cell: cell.point.clone(),
+                strategy: meta.strategy.clone(),
+                scenario: meta.scenario.clone(),
+                pairs: meta.pairs,
+                cores: meta.cores,
+                buffer: meta.buffer,
+                seed: meta.seed,
+                plan_faults: fault_plan(meta, &cell.strategy)
+                    .expect("overload scenarios are named")
+                    .len(),
+                energy_j_bits: metrics.energy.energy_j.to_bits(),
+                energy_j: metrics.energy.energy_j,
+                items_produced: metrics.items_produced,
+                items_consumed: metrics.items_consumed,
+                items_shed: metrics.items_shed,
+                shed_pct,
+                overload_windows: metrics.pairs.iter().map(|p| p.overload_windows).sum(),
+                deadline_misses: metrics.deadline_misses(),
+                wakeups: metrics.energy.wakeups,
+                scheduled_wakeups: metrics.scheduled_wakeups(),
+                overflow_wakeups: metrics.overflow_wakeups(),
+                trace_events: meta.events,
+                trace_digest: meta.digest,
+            };
+            println!(
+                "{:<24} {:<16} {:>9} {:>8} {:>6.2}% {:>8} {:>7} {:>8}",
+                row.cell.split('/').next().unwrap_or_default(),
+                row.strategy,
+                row.items_consumed,
+                row.items_shed,
+                row.shed_pct,
+                row.overload_windows,
+                row.deadline_misses,
+                row.wakeups
+            );
+            self.cells.push(row);
+        }
+    }
+
+    fn save(&self, protocol: &Protocol) {
+        save_json(
+            "overload",
+            &OverloadFile {
+                schema_version: 1,
+                duration_ms: protocol.duration.as_nanos() / 1_000_000,
+                replicates: protocol.replicates,
+                base_seed: protocol.base_seed,
+                trace_mean_rate: protocol.trace.mean_rate,
+                cells: &self.cells,
+            },
+        );
     }
 }
 
-/// Replays the extended oracle (shed-ledger invariants included) over
-/// one cell's trace.
-pub fn overload_oracle(log: &TraceLog) -> OracleReport {
-    oracle::check(log)
+/// An empty overload report.
+pub(crate) fn report() -> Box<dyn Report> {
+    Box::<OverloadReport>::default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{execute, fleets};
     use pc_sim::SimDuration;
     use pc_trace::WorldCupConfig;
     use pc_trace_events::TraceEvent;
@@ -368,6 +358,27 @@ mod tests {
         assert!(names.contains("baseline/BP"));
     }
 
+    fn run(protocol: &Protocol, specs: &[OverloadCellSpec], threads: usize) -> Vec<CellRun> {
+        let cells: Vec<Cell> = specs.iter().map(|s| overload_cell(protocol, s)).collect();
+        let (runs, _) = execute(&cells, &fleets(&cells, threads), threads, 1, true);
+        runs.into_iter().map(|r| r.unwrap()).collect()
+    }
+
+    #[test]
+    fn m100_recipes_name_the_planet_workload_and_the_m100_point() {
+        let p = tiny_protocol();
+        let spec = overload_cells(1).pop().unwrap();
+        let cell = overload_cell(&p, &spec);
+        assert_eq!(cell.point, "flash_crowd@m100/PBPL(overload)");
+        assert_eq!(cell.recipe.experiment, "overload_flash_crowd_m100");
+        assert_eq!(cell.recipe.workload, "planet_scale");
+        assert_eq!(cell.recipe.pairs, 100);
+        assert_eq!(overload_plan(&p, &spec).len(), {
+            let cell = overload_cell(&p, &spec);
+            fault_plan(&cell.recipe, &cell.strategy).unwrap().len()
+        });
+    }
+
     #[test]
     fn flash_crowd_sheds_under_overload_control_only() {
         let p = tiny_protocol();
@@ -378,7 +389,12 @@ mod tests {
             point: OverloadPoint::Chaos,
             replicate: 0,
         };
-        let (metrics, log) = run_overload_cell(&p, &overloaded);
+        let vanilla = OverloadCellSpec {
+            overload: false,
+            ..overloaded.clone()
+        };
+        let runs = run(&p, &[overloaded.clone(), overloaded, vanilla], 2);
+        let (metrics, log) = (&runs[0].metrics, runs[0].log.as_ref().unwrap());
         assert!(metrics.items_shed > 0, "flash crowd must trip admission");
         assert_eq!(
             metrics.items_produced,
@@ -388,69 +404,70 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e.kind, TraceEvent::ItemShed { .. })));
-        let report = overload_oracle(&log);
+        let report = crate::oracle::check(log);
         assert!(report.is_clean(), "{:?}", report.violations);
         // Seed-deterministic: the same cell re-run sheds the same count.
-        let (again, log2) = run_overload_cell(&p, &overloaded);
-        assert_eq!(metrics.items_shed, again.items_shed);
-        assert_eq!(log.digest(), log2.digest());
+        assert_eq!(metrics.items_shed, runs[1].metrics.items_shed);
+        assert_eq!(runs[0].meta.digest, runs[1].meta.digest);
 
         // The same cell without the knob sheds nothing.
-        let vanilla = OverloadCellSpec {
-            overload: false,
-            ..overloaded
-        };
-        let (base, base_log) = run_overload_cell(&p, &vanilla);
-        assert_eq!(base.items_shed, 0);
-        assert_eq!(base.items_produced, base.items_consumed);
-        assert!(overload_oracle(&base_log).is_clean());
+        let base = &runs[2];
+        assert_eq!(base.metrics.items_shed, 0);
+        assert_eq!(base.metrics.items_produced, base.metrics.items_consumed);
+        assert!(crate::oracle::check(base.log.as_ref().unwrap()).is_clean());
     }
 
     #[test]
     fn every_panel_row_runs_clean_under_the_correlated_scenarios() {
         let p = tiny_protocol();
-        for scenario in FaultScenario::correlated() {
-            for (strategy, overload) in overload_panel() {
-                let cell = OverloadCellSpec {
-                    strategy,
-                    overload,
-                    scenario,
-                    point: OverloadPoint::Chaos,
-                    replicate: 0,
-                };
-                let (metrics, log) = run_overload_cell(&p, &cell);
-                assert_eq!(
-                    metrics.items_produced,
-                    metrics.items_consumed + metrics.items_shed,
-                    "{}",
-                    overload_cell_name(&cell)
-                );
-                assert!(metrics.scheduler.ledger_balanced());
-                let report = overload_oracle(&log);
-                assert!(
-                    report.is_clean(),
-                    "{}: {:?}",
-                    overload_cell_name(&cell),
-                    report.violations
-                );
-            }
+        let specs: Vec<OverloadCellSpec> = FaultScenario::correlated()
+            .into_iter()
+            .flat_map(|scenario| {
+                overload_panel()
+                    .into_iter()
+                    .map(move |(strategy, overload)| OverloadCellSpec {
+                        strategy,
+                        overload,
+                        scenario,
+                        point: OverloadPoint::Chaos,
+                        replicate: 0,
+                    })
+            })
+            .collect();
+        for (spec, run) in specs.iter().zip(run(&p, &specs, 2)) {
+            let metrics = &run.metrics;
+            assert_eq!(
+                metrics.items_produced,
+                metrics.items_consumed + metrics.items_shed,
+                "{}",
+                overload_cell_name(spec)
+            );
+            assert!(metrics.scheduler.ledger_balanced());
+            let report = crate::oracle::check(run.log.as_ref().unwrap());
+            assert!(
+                report.is_clean(),
+                "{}: {:?}",
+                overload_cell_name(spec),
+                report.violations
+            );
         }
     }
 
     #[test]
     fn thread_count_does_not_change_overload_bits() {
         let p = tiny_protocol();
-        let cells: Vec<OverloadCellSpec> = overload_cells(1)
+        let specs: Vec<OverloadCellSpec> = overload_cells(1)
             .into_iter()
             .filter(|c| c.point == OverloadPoint::Chaos && c.scenario == FaultScenario::FlashCrowd)
             .collect();
-        assert_eq!(cells.len(), 4);
-        let (serial, _) = execute_overload_costed(&p, &cells, 1);
-        let (parallel, _) = execute_overload_costed(&p, &cells, 4);
-        for ((ms, ls), (mp, lp)) in serial.iter().zip(&parallel) {
-            assert_eq!(ms.energy.energy_j.to_bits(), mp.energy.energy_j.to_bits());
-            assert_eq!(ms.items_shed, mp.items_shed);
-            assert_eq!(ls.digest(), lp.digest());
+        assert_eq!(specs.len(), 4);
+        for (s, q) in run(&p, &specs, 1).iter().zip(&run(&p, &specs, 4)) {
+            assert_eq!(
+                s.metrics.energy.energy_j.to_bits(),
+                q.metrics.energy.energy_j.to_bits()
+            );
+            assert_eq!(s.metrics.items_shed, q.metrics.items_shed);
+            assert_eq!(s.meta.digest, q.meta.digest);
         }
     }
 }

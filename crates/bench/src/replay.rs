@@ -15,6 +15,12 @@
 //! context window; `replay --digest-only` skips the per-event diff and
 //! compares the FNV canonical-JSON digests instead.
 //!
+//! Recording and replaying are one code path: every sweep cell is
+//! expanded to a prototype recipe and run by the same [`run_recipe`]
+//! that [`rerun_cell`] calls, and [`strategy_label`] /
+//! [`rebuild_strategy`] and [`fault_plan`] are the only places a
+//! strategy becomes a label and back, and a scenario a fault plan.
+//!
 //! The same parser ([`parse_export`]) backs the `trace_report` and
 //! `replay` binaries, and the golden fixtures under `tests/fixtures/`
 //! are rendered by [`render_fixture`] from the [`fixture_defs`] table —
@@ -23,13 +29,14 @@
 
 use crate::oracle::{self, CellMeta, TraceLine};
 use crate::sweep::trace_capacity_from_env;
-use pc_core::{Experiment, OverloadConfig, PbplConfig, StrategyKind};
+use pc_core::{Experiment, OverloadConfig, PbplConfig, RunMetrics, StrategyKind};
 use pc_faults::{ExpandEnv, FaultPlan, FaultScenario};
 use pc_sim::{SimDuration, SimTime};
-use pc_trace::{PlanetConfig, WorldCupConfig};
+use pc_trace::{PlanetConfig, Trace, WorldCupConfig};
 use pc_trace_events::{Event, Recorder, TraceLog};
 use std::io::BufRead;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// One cell reassembled from a JSONL export: its header plus the event
 /// lines that followed it.
@@ -188,10 +195,29 @@ pub fn label_overloaded(label: &str) -> bool {
     label.ends_with("(overload)")
 }
 
-/// Inverts the strategy display label (plus the exact `period_ns` for
-/// the periodic strategies — the label's microseconds are truncated).
+/// The display label of a strategy, as every sweep writes it into
+/// results and recipes: periods in µs, the fixed-capacity and
+/// degradation-watchdog PBPL variants tagged, and `overload` adding the
+/// `(overload)` suffix. [`rebuild_strategy`] inverts it.
+pub fn strategy_label(strategy: &StrategyKind, overload: bool) -> String {
+    let base = match strategy {
+        StrategyKind::Pbp { period } => format!("PBP@{}us", period.as_nanos() / 1_000),
+        StrategyKind::Spbp { period } => format!("SPBP@{}us", period.as_nanos() / 1_000),
+        StrategyKind::Pbpl(cfg) if cfg.degrade.enabled => "PBPL(degraded)".to_string(),
+        StrategyKind::Pbpl(cfg) if !cfg.resizing => "PBPL(fixed)".to_string(),
+        other => other.name().to_string(),
+    };
+    if overload {
+        format!("{base}(overload)")
+    } else {
+        base
+    }
+}
+
+/// Inverts [`strategy_label`] (plus the exact `period_ns` for the
+/// periodic strategies — the label's microseconds are truncated).
 /// An `(overload)` suffix names the *base* strategy; the overload knob
-/// is applied separately by [`rerun_cell`] via [`label_overloaded`].
+/// is applied separately by [`run_recipe`] via [`label_overloaded`].
 pub fn rebuild_strategy(meta: &CellMeta) -> Result<StrategyKind, String> {
     let label = meta.strategy.as_str();
     let label = label.strip_suffix("(overload)").unwrap_or(label);
@@ -221,65 +247,116 @@ pub fn rebuild_strategy(meta: &CellMeta) -> Result<StrategyKind, String> {
     }
 }
 
-/// Re-runs the cell `meta` describes and returns the regenerated event
-/// stream. The reconstruction mirrors the exporters exactly: the suite
-/// builder path for World-Cup workloads, the scale builder path
-/// (pre-generated fleet) for planet workloads, and the chaos fault
-/// plan re-expanded from `(scenario, seed, env)` when a scenario is
-/// named. The recorder bound follows `PC_TRACE_CAP` like the
-/// exporters, so even a truncated recording replays bit-identically.
-pub fn rerun_cell(meta: &CellMeta) -> Result<TraceLog, String> {
-    let strategy = rebuild_strategy(meta)?;
+/// The fault plan a recipe runs under, re-expanded from `(scenario,
+/// seed)` and the run geometry — empty when no scenario is named. The
+/// pool total mirrors the sim's own construction (`B₀ · M` for
+/// batching strategies, zero otherwise).
+pub fn fault_plan(meta: &CellMeta, strategy: &StrategyKind) -> Result<FaultPlan, String> {
+    if meta.scenario.is_empty() {
+        return Ok(FaultPlan::empty());
+    }
+    let scenario = FaultScenario::from_name(&meta.scenario)
+        .ok_or_else(|| format!("unknown fault scenario {:?}", meta.scenario))?;
+    let env = ExpandEnv {
+        horizon_ns: meta.duration_ns,
+        pairs: meta.pairs as u32,
+        cores: meta.cores as u32,
+        pool_total: if strategy.is_batching() {
+            meta.buffer * meta.pairs
+        } else {
+            0
+        },
+    };
+    Ok(FaultPlan::expand(scenario, meta.seed, &env))
+}
+
+/// A planet config with its base horizon stretched to `duration`, so
+/// the diurnal cycle spans the whole run.
+pub(crate) fn stretch_planet(mut cfg: PlanetConfig, duration: SimDuration) -> PlanetConfig {
+    cfg.base.horizon = SimTime::ZERO + duration;
+    cfg
+}
+
+/// The per-pair planet fleet a recipe runs on, regenerated from
+/// `(workload, seed, pairs)` — `None` for a World-Cup recipe, whose
+/// builder generates its own traces.
+pub(crate) fn planet_fleet(meta: &CellMeta) -> Option<Vec<Trace>> {
+    match workload_by_name(&meta.workload)? {
+        Workload::Planet(cfg) => Some(
+            stretch_planet(cfg, SimDuration::from_nanos(meta.duration_ns))
+                .traces(meta.seed, meta.pairs as usize),
+        ),
+        Workload::WorldCup(_) => None,
+    }
+}
+
+/// Runs the cell a recipe describes — the one place a sweep cell, a
+/// replay and a golden fixture become an [`Experiment`]. `strategy` is
+/// the one the recipe's label names: [`rebuild_strategy`]`(meta)` on
+/// replay, the value the label was made from in a sweep (the two agree
+/// for every sweep cell; `tests::strategy_labels_roundtrip` checks it).
+/// A planet recipe runs on `fleet` when the caller pre-generated it
+/// (sweep cells that differ only in strategy share one; it must be
+/// `planet_fleet(meta)`), else on a fleet regenerated here. `shards`
+/// is the semantically inert coordination-shard count; `record`
+/// attaches a recorder bounded by `PC_TRACE_CAP` and returns its log.
+///
+/// Errors name what could not be rebuilt (workload, scenario, zero
+/// duration), or a scheduler ledger out of balance: every live run and
+/// re-execution must close it (DESIGN.md §14).
+pub fn run_recipe(
+    meta: &CellMeta,
+    strategy: StrategyKind,
+    fleet: Option<Arc<Vec<Trace>>>,
+    shards: usize,
+    record: bool,
+) -> Result<(RunMetrics, Option<TraceLog>), String> {
     if meta.duration_ns == 0 {
         return Err("header duration_ns is 0".to_string());
     }
-    let duration = SimDuration::from_nanos(meta.duration_ns);
-    let recorder = Recorder::bounded(trace_capacity_from_env());
+    let faults = fault_plan(meta, &strategy)?;
+    let recorder = record.then(|| Recorder::bounded(trace_capacity_from_env()));
     let mut builder = Experiment::builder()
         .pairs(meta.pairs as usize)
         .cores(meta.cores as usize)
-        .duration(duration)
-        .strategy(strategy.clone())
+        .duration(SimDuration::from_nanos(meta.duration_ns))
+        .strategy(strategy)
         .seed(meta.seed)
         .buffer_capacity(meta.buffer as usize)
-        .record_events(recorder.handle());
+        .shards(shards)
+        .faults(faults);
+    if let Some(recorder) = &recorder {
+        builder = builder.record_events(recorder.handle());
+    }
     if label_overloaded(&meta.strategy) {
         builder = builder.overload(OverloadConfig::standard());
     }
-    match workload_by_name(&meta.workload) {
-        Some(Workload::WorldCup(cfg)) => builder = builder.trace(cfg),
-        Some(Workload::Planet(mut cfg)) => {
-            cfg.base.horizon = SimTime::ZERO + duration;
-            builder = builder.traces(cfg.traces(meta.seed, meta.pairs as usize));
+    builder = match (workload_by_name(&meta.workload), fleet) {
+        (Some(Workload::WorldCup(cfg)), _) => builder.trace(cfg),
+        (Some(Workload::Planet(_)), Some(fleet)) => builder.shared_traces(fleet),
+        (Some(Workload::Planet(_)), None) => {
+            builder.traces(planet_fleet(meta).expect("a planet workload has a fleet"))
         }
-        None => return Err(format!("unknown workload {:?}", meta.workload)),
-    }
-    if !meta.scenario.is_empty() {
-        let scenario = FaultScenario::from_name(&meta.scenario)
-            .ok_or_else(|| format!("unknown fault scenario {:?}", meta.scenario))?;
-        let env = ExpandEnv {
-            horizon_ns: meta.duration_ns,
-            pairs: meta.pairs as u32,
-            cores: meta.cores as u32,
-            pool_total: if strategy.is_batching() {
-                meta.buffer * meta.pairs
-            } else {
-                0
-            },
-        };
-        builder = builder.faults(FaultPlan::expand(scenario, meta.seed, &env));
-    }
+        (None, _) => return Err(format!("unknown workload {:?}", meta.workload)),
+    };
     let metrics = builder.run();
-    // Re-executions must satisfy the same closed scheduler ledger as
-    // live runs (DESIGN.md §14); a drift here means the rebuilt cell
-    // diverged from the recorded one in more than its event stream.
     if !metrics.scheduler.ledger_balanced() {
         return Err(format!(
-            "scheduler ledger out of balance on re-execution: {:?}",
+            "scheduler ledger out of balance: {:?}",
             metrics.scheduler
         ));
     }
-    Ok(recorder.take())
+    Ok((metrics, recorder.map(|r| r.take())))
+}
+
+/// Re-runs the cell `meta` describes with a recorder attached and
+/// returns the regenerated event stream — [`run_recipe`] on the
+/// rebuilt strategy, a fresh fleet and one shard. The recorder bound
+/// follows `PC_TRACE_CAP` like the exporters, so even a truncated
+/// recording replays bit-identically.
+pub fn rerun_cell(meta: &CellMeta) -> Result<TraceLog, String> {
+    let (_, log) = run_recipe(meta, rebuild_strategy(meta)?, None, 1, true)?;
+    Ok(log.expect("a recorded run returns its log"))
 }
 
 /// Events shown on each side of a divergence.
@@ -600,6 +677,33 @@ mod tests {
         assert!(rebuild_strategy(&meta("NOPE", "")).is_err());
         // Periodic labels without the exact period are unreplayable.
         assert!(rebuild_strategy(&meta("PBP@100us", "")).is_err());
+
+        // Every cell of every sweep table: its recipe's label rebuilds
+        // exactly the strategy the cell runs, so a sweep run and the
+        // replay of its export build the same experiment.
+        let protocol = crate::exp::Protocol {
+            duration: SimDuration::from_millis(20),
+            replicates: 2,
+            base_seed: 5,
+            trace: WorldCupConfig::paper_default(),
+            threads: 1,
+        };
+        let mut cells = 0;
+        for def in &crate::sweep::SWEEPS {
+            for cell in (def.expand)(&protocol).into_iter().flat_map(|g| g.cells) {
+                let rebuilt = rebuild_strategy(&cell.recipe)
+                    .unwrap_or_else(|e| panic!("{} {}: {e}", def.name, cell.point));
+                assert_eq!(rebuilt, cell.strategy, "{} {}", def.name, cell.point);
+                let overload = label_overloaded(&cell.recipe.strategy);
+                assert_eq!(strategy_label(&rebuilt, overload), cell.recipe.strategy);
+                cells += 1;
+            }
+        }
+        assert_eq!(
+            cells,
+            2 * (39 + 40 + 12 + 44),
+            "suite, chaos, scale, overload"
+        );
     }
 
     #[test]

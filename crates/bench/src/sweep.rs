@@ -1,30 +1,44 @@
-//! Parallel deterministic sweep engine.
+//! The sweep harness: recipe → runner → table.
 //!
-//! Every experiment in this crate is a *sweep*: a grid of
-//! (pairs, cores, buffer) points crossed with a strategy list, each
-//! configuration replicated over consecutive seeds. The cells of that
-//! grid are mutually independent simulations, so they can run on any
-//! number of worker threads — but the *output must not depend on the
-//! thread count*. The engine guarantees that by construction:
+//! Every experiment in this crate is a *sweep*, and every sweep is one
+//! entry of [`SWEEPS`]. An entry ([`SweepDef`]) expands the protocol
+//! into dispatch [`Group`]s of [`Cell`]s; each cell carries an exact
+//! point name (what `--filter` matches) and a prototype [`CellMeta`]
+//! recipe — the same header a trace export carries. [`execute`] runs a
+//! group's recipes through [`run_recipe`], the function `replay` also
+//! re-executes exports with, so recording and replaying a cell are one
+//! code path. The entry's [`Report`] turns the finished cells into its
+//! stdout table and its `results/<sweep>.json`; the `sweep` binary
+//! supplies the rest once for every sweep (arguments, trace export,
+//! oracle loop, `BENCH_<sweep>.json` sidecar).
 //!
-//! * [`SweepSpec::cells`] expands the grid in a fixed, documented order
-//!   (point-major, then strategy, then replicate);
+//! The cells of a group are mutually independent simulations, so they
+//! run on any number of worker threads — but the *output must not
+//! depend on the thread count*. The engine guarantees that by
+//! construction:
+//!
+//! * each entry expands its grid in a fixed, documented order (for the
+//!   grid sweeps point-major, then strategy, then replicate);
 //! * [`parallel_map`] hands cells to workers through an atomic cursor
 //!   but stores every result in the slot of its *input* index, so the
 //!   collected vector is identical whatever the completion order;
-//! * each cell is a pure function of `(protocol, cell)` — the
-//!   simulation itself is bit-deterministic per seed (see CLAUDE.md).
+//! * each cell is a pure function of its recipe — the simulation
+//!   itself is bit-deterministic per seed (see CLAUDE.md).
 //!
-//! The CI determinism gate runs the full suite with `--threads 4` and
-//! `--threads 1` and byte-compares the JSON output; any wall-clock or
+//! The CI determinism gates run every sweep with `--threads 4` and
+//! `--threads 1` and byte-compare the JSON output; any wall-clock or
 //! thread-count leakage into results is a build failure, not a footnote.
 
 use crate::exp::Protocol;
-use pc_core::{Experiment, RunMetrics, StrategyKind};
-use pc_trace_events::{Recorder, TraceLog, DEFAULT_RECORDER_CAPACITY};
+use crate::oracle::{strategy_period_ns, CellMeta};
+use crate::replay::{planet_fleet, run_recipe, strategy_label};
+use pc_core::{RunMetrics, StrategyKind};
+use pc_trace::Trace;
+use pc_trace_events::{TraceLog, DEFAULT_RECORDER_CAPACITY};
 use serde::Serialize;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// One (pairs, cores, buffer) grid point of a sweep.
@@ -38,47 +52,170 @@ pub struct GridPoint {
     pub buffer: usize,
 }
 
-/// A sweep: every strategy at every grid point, replicated.
-#[derive(Debug, Clone)]
-pub struct SweepSpec {
-    /// Strategies to evaluate (inner loop of the expansion).
-    pub strategies: Vec<StrategyKind>,
-    /// Grid points to evaluate them at (outer loop).
-    pub points: Vec<GridPoint>,
-}
-
 /// One independent unit of simulation work: a single replicate of a
-/// single strategy at a single grid point.
+/// single strategy at a single point.
 #[derive(Debug, Clone)]
-pub struct CellSpec {
-    /// Strategy under test.
+pub struct Cell {
+    /// Exact point name: what `--filter` matches and `--list` prints.
+    /// Every replicate of a point shares it.
+    pub point: String,
+    /// The strategy under test. The recipe carries it as a label;
+    /// `replay` rebuilds this exact value from that label, which
+    /// `replay::tests::strategy_labels_roundtrip` checks for every cell
+    /// of every sweep.
     pub strategy: StrategyKind,
-    /// Grid point it runs at.
-    pub point: GridPoint,
-    /// Replicate index; the seed is `base_seed + replicate`.
-    pub replicate: usize,
+    /// Prototype recipe: `events`, `dropped` and `digest` stay zero
+    /// until the cell has run.
+    pub recipe: CellMeta,
 }
 
-impl SweepSpec {
-    /// Expands the grid into cells in the engine's canonical order:
-    /// point-major, then strategy, then replicate. Consumers regroup by
-    /// walking the same loops (see [`run_grouped`]), so this order is a
-    /// contract, not an implementation detail.
-    pub fn cells(&self, replicates: usize) -> Vec<CellSpec> {
-        let mut cells = Vec::with_capacity(self.points.len() * self.strategies.len() * replicates);
-        for &point in &self.points {
-            for strategy in &self.strategies {
-                for replicate in 0..replicates {
-                    cells.push(CellSpec {
-                        strategy: strategy.clone(),
-                        point,
-                        replicate,
-                    });
-                }
-            }
+impl Cell {
+    /// Replicate `replicate` of `strategy` at `point` under `protocol`,
+    /// on the named `workload`, recorded as part of `experiment`. The
+    /// point name defaults to the experiment name and the recipe names
+    /// no fault scenario; a sweep sets either field when it needs to.
+    pub fn new(
+        protocol: &Protocol,
+        experiment: String,
+        workload: &str,
+        strategy: StrategyKind,
+        overload: bool,
+        point: GridPoint,
+        replicate: usize,
+    ) -> Cell {
+        let recipe = CellMeta {
+            experiment: experiment.clone(),
+            strategy: strategy_label(&strategy, overload),
+            pairs: point.pairs as u64,
+            cores: point.cores as u64,
+            buffer: point.buffer as u64,
+            seed: protocol.base_seed + replicate as u64,
+            duration_ns: protocol.duration.as_nanos(),
+            workload: workload.to_string(),
+            scenario: String::new(),
+            period_ns: strategy_period_ns(&strategy),
+            events: 0,
+            dropped: 0,
+            digest: 0,
+        };
+        Cell {
+            point: experiment,
+            strategy,
+            recipe,
         }
-        cells
     }
+}
+
+/// Cells dispatched together, in the sweep's canonical order: one
+/// suite experiment, one scale point, or a whole single-group sweep.
+/// Fleet generation and dispatch are timed per group.
+#[derive(Debug)]
+pub struct Group {
+    /// Group name (the sidecar's per-group timing key).
+    pub name: String,
+    /// The group's cells.
+    pub cells: Vec<Cell>,
+}
+
+/// One finished cell.
+#[derive(Debug)]
+pub struct CellRun {
+    /// The recipe, its `events`/`dropped`/`digest` completed from the
+    /// recording when the cell was recorded.
+    pub meta: CellMeta,
+    /// The run's metrics.
+    pub metrics: RunMetrics,
+    /// The recording, when one was asked for.
+    pub log: Option<TraceLog>,
+}
+
+/// A sweep's result rows: fed one finished group at a time, it prints
+/// the group's stdout table and keeps the rows for the results file.
+pub trait Report {
+    /// Adds one finished group; `runs[i]` is `group.cells[i]`'s run.
+    fn add(&mut self, protocol: &Protocol, group: &Group, runs: &[CellRun]);
+    /// Writes `results/<sweep>.json`.
+    fn save(&self, protocol: &Protocol);
+}
+
+/// One sweep: a table entry of [`SWEEPS`].
+pub struct SweepDef {
+    /// The name the `sweep` binary takes; also the stem of its results,
+    /// trace export and sidecar files.
+    pub name: &'static str,
+    /// One line for `--help`.
+    pub about: &'static str,
+    /// Default horizon, milliseconds (`PC_DURATION_MS` overrides).
+    pub duration_ms: u64,
+    /// Default replicates (`PC_REPLICATES` overrides).
+    pub replicates: usize,
+    /// Whether every cell is recorded and oracle-checked even without
+    /// `--trace` (the sweep's rows come from the trace).
+    pub always_traced: bool,
+    /// Whether the sweep takes `--shards` / `PC_SHARDS`.
+    pub sharded: bool,
+    /// Key the sidecar lists per-group timings under, or `None` for a
+    /// single-group sweep whose group timing sits at the top level.
+    pub timings_key: Option<&'static str>,
+    /// Expands the protocol into dispatch groups.
+    pub expand: fn(&Protocol) -> Vec<Group>,
+    /// A fresh, empty report.
+    pub report: fn() -> Box<dyn Report>,
+}
+
+/// Every sweep, in `--help` order. A new sweep or scenario costs one
+/// entry here (plus its expansion and report).
+pub static SWEEPS: [SweepDef; 4] = [
+    SweepDef {
+        name: "suite",
+        about: "every paper figure/table experiment (point = experiment name)",
+        duration_ms: 50_000,
+        replicates: 3,
+        always_traced: false,
+        sharded: false,
+        timings_key: Some("experiments"),
+        expand: crate::suite::expand,
+        report: crate::suite::report,
+    },
+    SweepDef {
+        name: "chaos",
+        about: "every fault scenario x strategy panel (point = scenario/strategy)",
+        duration_ms: 50_000,
+        replicates: 3,
+        always_traced: true,
+        sharded: false,
+        timings_key: None,
+        expand: crate::chaos::expand,
+        report: crate::chaos::report,
+    },
+    SweepDef {
+        name: "scale",
+        about: "planet fleet at M in {10, 100, 1000} (point = m10 | m100 | m1000)",
+        duration_ms: 10_000,
+        replicates: 1,
+        always_traced: false,
+        sharded: true,
+        timings_key: Some("points"),
+        expand: crate::scale::expand,
+        report: crate::scale::report,
+    },
+    SweepDef {
+        name: "overload",
+        about: "overload panel x scenarios, plus the planet m100 flash crowd \
+                (point = scenario/strategy, scenario@m100/strategy)",
+        duration_ms: 50_000,
+        replicates: 3,
+        always_traced: true,
+        sharded: false,
+        timings_key: None,
+        expand: crate::overload::expand,
+        report: crate::overload::report,
+    },
+];
+
+/// The sweep called `name`.
+pub fn sweep_by_name(name: &str) -> Option<&'static SweepDef> {
+    SWEEPS.iter().find(|def| def.name == name)
 }
 
 /// Worker-thread count: `PC_THREADS` if set to a positive integer,
@@ -239,63 +376,6 @@ where
     )
 }
 
-/// One cell's `BENCH_*` sidecar row: host wall time plus the
-/// *deterministic* scheduler operation counters from the run (the
-/// counters are a pure function of `(seed, config)`; only `wall_ms` is
-/// host-dependent). `compactions` staying 0 across every cell is the
-/// recorded proof that the timer wheel retired the old heap's
-/// tombstone-compaction path.
-#[derive(Debug, Clone, Serialize)]
-pub struct CellTiming {
-    /// Cell label (strategy, geometry, seed).
-    pub cell: String,
-    /// Host wall time of this cell, milliseconds.
-    pub wall_ms: u64,
-    /// Event-scheduler operation counters (DESIGN.md §13).
-    pub scheduler: pc_sim::QueueStats,
-}
-
-/// Relative cost estimate of one sweep cell: simulated duration × M.
-/// Event volume scales with both, so this ranks an m1000 cell far above
-/// an m10 cell and equal-M cells equally — exactly the granularity the
-/// LPT dispatch needs.
-pub fn cell_cost(cell: &CellSpec, duration: pc_sim::SimDuration) -> u64 {
-    duration.as_nanos().saturating_mul(cell.point.pairs as u64)
-}
-
-/// Runs one cell: a pure function of the protocol and the cell spec.
-pub fn run_cell(protocol: &Protocol, cell: &CellSpec) -> RunMetrics {
-    Experiment::builder()
-        .pairs(cell.point.pairs)
-        .cores(cell.point.cores)
-        .duration(protocol.duration)
-        .strategy(cell.strategy.clone())
-        .trace(protocol.trace.clone())
-        .seed(protocol.base_seed + cell.replicate as u64)
-        .buffer_capacity(cell.point.buffer)
-        .run()
-}
-
-/// Runs `cells` on `threads` workers; results in cell order.
-pub fn execute(protocol: &Protocol, cells: &[CellSpec], threads: usize) -> Vec<RunMetrics> {
-    execute_costed(protocol, cells, threads).0
-}
-
-/// [`execute`] with cost-aware (LPT) dispatch and timing telemetry.
-/// Results are byte-identical to [`execute`]'s; the [`DispatchStats`]
-/// are sidecar-only.
-pub fn execute_costed(
-    protocol: &Protocol,
-    cells: &[CellSpec],
-    threads: usize,
-) -> (Vec<RunMetrics>, DispatchStats) {
-    let costs: Vec<u64> = cells
-        .iter()
-        .map(|cell| cell_cost(cell, protocol.duration))
-        .collect();
-    parallel_map_costed(cells, threads, &costs, |cell| run_cell(protocol, cell))
-}
-
 /// Per-cell recorder bound for traced runs: `PC_TRACE_CAP` if set to a
 /// positive integer, else [`DEFAULT_RECORDER_CAPACITY`].
 pub fn trace_capacity_from_env() -> usize {
@@ -306,70 +386,77 @@ pub fn trace_capacity_from_env() -> usize {
         .unwrap_or(DEFAULT_RECORDER_CAPACITY)
 }
 
-/// Runs one cell with an event recorder attached and returns the metrics
-/// together with the recording. Recording is purely observational: the
-/// metrics are bit-identical to [`run_cell`]'s, which is what lets the
-/// suite keep `results/suite.json` byte-stable under `--trace`.
-pub fn run_cell_traced(protocol: &Protocol, cell: &CellSpec) -> (RunMetrics, TraceLog) {
-    let recorder = Recorder::bounded(trace_capacity_from_env());
-    let metrics = Experiment::builder()
-        .pairs(cell.point.pairs)
-        .cores(cell.point.cores)
-        .duration(protocol.duration)
-        .strategy(cell.strategy.clone())
-        .trace(protocol.trace.clone())
-        .seed(protocol.base_seed + cell.replicate as u64)
-        .buffer_capacity(cell.point.buffer)
-        .record_events(recorder.handle())
-        .run();
-    (metrics, recorder.take())
+/// Shared pre-generated planet fleets, keyed by what a fleet is a
+/// function of: workload name, pairs, seed and horizon.
+pub type FleetMap = BTreeMap<(String, u64, u64, u64), Arc<Vec<Trace>>>;
+
+fn fleet_key(recipe: &CellMeta) -> (String, u64, u64, u64) {
+    (
+        recipe.workload.clone(),
+        recipe.pairs,
+        recipe.seed,
+        recipe.duration_ns,
+    )
 }
 
-/// Traced variant of [`execute`]: each cell records into its own bounded
-/// recorder, so traces are per-cell deterministic whatever the thread
-/// count.
-pub fn execute_traced(
-    protocol: &Protocol,
-    cells: &[CellSpec],
-    threads: usize,
-) -> Vec<(RunMetrics, TraceLog)> {
-    execute_traced_costed(protocol, cells, threads).0
+/// Pre-generates, in parallel, the planet fleet of every planet recipe
+/// among `cells` — once per distinct fleet, so cells that differ only
+/// in strategy share it. World-Cup recipes need none (their builder
+/// generates its own traces).
+///
+/// Call this *outside* any timed region: fleet generation is workload
+/// synthesis, not simulation, and letting it leak into a group's wall
+/// clock misattributes it to whichever cell runs first (the sidecar's
+/// `fleet_gen_ms` records the real cost).
+pub fn fleets(cells: &[Cell], threads: usize) -> FleetMap {
+    let mut firsts: BTreeMap<(String, u64, u64, u64), &CellMeta> = BTreeMap::new();
+    for cell in cells {
+        firsts
+            .entry(fleet_key(&cell.recipe))
+            .or_insert(&cell.recipe);
+    }
+    let wanted: Vec<_> = firsts.into_iter().collect();
+    let generated = parallel_map(&wanted, threads, |(_, recipe)| planet_fleet(recipe));
+    wanted
+        .into_iter()
+        .zip(generated)
+        .filter_map(|((key, _), fleet)| Some((key, Arc::new(fleet?))))
+        .collect()
 }
 
-/// [`execute_traced`] with cost-aware (LPT) dispatch and timing
-/// telemetry.
-pub fn execute_traced_costed(
-    protocol: &Protocol,
-    cells: &[CellSpec],
+/// Runs `cells` on `threads` workers through [`run_recipe`] and returns
+/// each finished cell in cell order, whatever the thread count. A
+/// planet recipe runs on its fleet from `fleets` when there is one;
+/// `shards` is the inert coordination-shard count; with `record`, each
+/// cell records into its own bounded recorder and comes back with its
+/// header completed from the recording.
+///
+/// Dispatch is cost-aware (LPT): horizon × M ranks an m1000 cell far
+/// above an m10 cell, so the largest cells are claimed first instead of
+/// straggling. The [`DispatchStats`] are sidecar-only.
+pub fn execute(
+    cells: &[Cell],
+    fleets: &FleetMap,
     threads: usize,
-) -> (Vec<(RunMetrics, TraceLog)>, DispatchStats) {
+    shards: usize,
+    record: bool,
+) -> (Vec<Result<CellRun, String>>, DispatchStats) {
     let costs: Vec<u64> = cells
         .iter()
-        .map(|cell| cell_cost(cell, protocol.duration))
+        .map(|cell| cell.recipe.duration_ns.saturating_mul(cell.recipe.pairs))
         .collect();
     parallel_map_costed(cells, threads, &costs, |cell| {
-        run_cell_traced(protocol, cell)
+        let fleet = fleets.get(&fleet_key(&cell.recipe)).cloned();
+        let (metrics, log) = run_recipe(&cell.recipe, cell.strategy.clone(), fleet, shards, record)
+            .map_err(|e| format!("{}: {e}", cell.recipe.label()))?;
+        let mut meta = cell.recipe.clone();
+        if let Some(log) = &log {
+            meta.events = log.events.len() as u64;
+            meta.dropped = log.dropped;
+            meta.digest = log.digest();
+        }
+        Ok(CellRun { meta, metrics, log })
     })
-}
-
-/// Runs a whole spec and regroups the flat cell results back into
-/// `[point][strategy] -> replicate runs`, mirroring [`SweepSpec::cells`].
-pub fn run_grouped(protocol: &Protocol, spec: &SweepSpec) -> Vec<Vec<Vec<RunMetrics>>> {
-    let cells = spec.cells(protocol.replicates);
-    let mut flat = execute(protocol, &cells, protocol.threads).into_iter();
-    spec.points
-        .iter()
-        .map(|_| {
-            spec.strategies
-                .iter()
-                .map(|_| {
-                    (0..protocol.replicates)
-                        .map(|_| flat.next().expect("cell count matches expansion"))
-                        .collect()
-                })
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -388,46 +475,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn expansion_order_is_point_major_then_strategy_then_replicate() {
-        let spec = SweepSpec {
-            strategies: vec![StrategyKind::Mutex, StrategyKind::Bp],
-            points: vec![
-                GridPoint {
-                    pairs: 1,
-                    cores: 1,
-                    buffer: 25,
-                },
-                GridPoint {
-                    pairs: 5,
-                    cores: 2,
-                    buffer: 50,
-                },
-            ],
+    fn tiny_cells(protocol: &Protocol) -> Vec<Cell> {
+        let point = GridPoint {
+            pairs: 2,
+            cores: 2,
+            buffer: 25,
         };
-        let cells = spec.cells(3);
-        assert_eq!(cells.len(), 2 * 2 * 3);
-        let key: Vec<(usize, &str, usize)> = cells
-            .iter()
-            .map(|c| (c.point.pairs, c.strategy.name(), c.replicate))
-            .collect();
-        assert_eq!(
-            key,
-            vec![
-                (1, "Mutex", 0),
-                (1, "Mutex", 1),
-                (1, "Mutex", 2),
-                (1, "BP", 0),
-                (1, "BP", 1),
-                (1, "BP", 2),
-                (5, "Mutex", 0),
-                (5, "Mutex", 1),
-                (5, "Mutex", 2),
-                (5, "BP", 0),
-                (5, "BP", 1),
-                (5, "BP", 2),
-            ]
-        );
+        let mut cells = Vec::new();
+        for strategy in [StrategyKind::Mutex, StrategyKind::pbpl_default()] {
+            for replicate in 0..protocol.replicates {
+                cells.push(Cell::new(
+                    protocol,
+                    "tiny".to_string(),
+                    "worldcup_quick",
+                    strategy.clone(),
+                    false,
+                    point,
+                    replicate,
+                ));
+            }
+        }
+        cells
+    }
+
+    fn run(protocol: &Protocol, record: bool) -> Vec<CellRun> {
+        let cells = tiny_cells(protocol);
+        let (runs, _) = execute(&cells, &FleetMap::new(), protocol.threads, 1, record);
+        runs.into_iter().map(|r| r.unwrap()).collect()
+    }
+
+    #[test]
+    fn every_sweep_is_reachable_by_name() {
+        for def in &SWEEPS {
+            assert!(std::ptr::eq(sweep_by_name(def.name).unwrap(), def));
+        }
+        assert!(sweep_by_name("nope").is_none());
     }
 
     #[test]
@@ -442,46 +524,56 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_energy_bits() {
-        let spec = SweepSpec {
-            strategies: vec![StrategyKind::Mutex, StrategyKind::pbpl_default()],
-            points: vec![GridPoint {
-                pairs: 2,
-                cores: 2,
-                buffer: 25,
-            }],
-        };
-        let serial = run_grouped(&tiny_protocol(1), &spec);
-        let parallel = run_grouped(&tiny_protocol(4), &spec);
-        for (point_s, point_p) in serial.iter().zip(&parallel) {
-            for (runs_s, runs_p) in point_s.iter().zip(point_p) {
-                for (a, b) in runs_s.iter().zip(runs_p) {
-                    assert_eq!(a.energy.energy_j.to_bits(), b.energy.energy_j.to_bits());
-                    assert_eq!(a.items_consumed, b.items_consumed);
-                    assert_eq!(a.slot_fires, b.slot_fires);
-                }
-            }
+        let serial = run(&tiny_protocol(1), false);
+        let parallel = run(&tiny_protocol(4), false);
+        assert_eq!(serial.len(), 4);
+        for (a, b) in serial.iter().zip(&parallel) {
+            assert_eq!(
+                a.metrics.energy.energy_j.to_bits(),
+                b.metrics.energy.energy_j.to_bits()
+            );
+            assert_eq!(a.metrics.items_consumed, b.metrics.items_consumed);
+            assert_eq!(a.metrics.slot_fires, b.metrics.slot_fires);
+        }
+    }
+
+    #[test]
+    fn recording_completes_the_header_and_changes_no_metric() {
+        let plain = run(&tiny_protocol(2), false);
+        let recorded = run(&tiny_protocol(2), true);
+        for (a, b) in plain.iter().zip(&recorded) {
+            assert!(a.log.is_none() && a.meta.digest == 0);
+            let log = b.log.as_ref().unwrap();
+            assert_eq!(b.meta.events, log.events.len() as u64);
+            assert_eq!(b.meta.digest, log.digest());
+            assert_eq!(
+                a.metrics.energy.energy_j.to_bits(),
+                b.metrics.energy.energy_j.to_bits()
+            );
         }
     }
 
     #[test]
     fn protocol_run_goes_through_the_engine_unchanged() {
-        // Protocol::run is now a one-point, one-strategy sweep; its
-        // results must match running the cell directly.
+        // Protocol::run is a one-point, one-strategy sweep; its results
+        // must match running the cell directly.
         let p = tiny_protocol(2);
         let runs = p.run(StrategyKind::Bp, 2, 2, 25);
         assert_eq!(runs.len(), 2);
-        let direct = run_cell(
+        let cell = Cell::new(
             &p,
-            &CellSpec {
-                strategy: StrategyKind::Bp,
-                point: GridPoint {
-                    pairs: 2,
-                    cores: 2,
-                    buffer: 25,
-                },
-                replicate: 1,
+            String::new(),
+            "worldcup_quick",
+            StrategyKind::Bp,
+            false,
+            GridPoint {
+                pairs: 2,
+                cores: 2,
+                buffer: 25,
             },
+            1,
         );
+        let (direct, _) = run_recipe(&cell.recipe, cell.strategy, None, 1, false).unwrap();
         assert_eq!(
             runs[1].energy.energy_j.to_bits(),
             direct.energy.energy_j.to_bits()

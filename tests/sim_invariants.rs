@@ -371,8 +371,9 @@ fn golden_chaos_trace_digest_is_stable() {
     // pins the fault-injection sites, the `FaultInjected`/`FaultRecovered`
     // payloads and the watchdog's resize behaviour. A digest change
     // means the chaos stream changed — review and update deliberately.
-    use pc_bench::chaos::{chaos_oracle, run_chaos_cell, ChaosCellSpec};
+    use pc_bench::chaos::chaos_cell;
     use pc_bench::exp::Protocol;
+    use pc_bench::replay::run_recipe;
     use pcpower::faults::FaultScenario;
     let protocol = Protocol {
         duration: SimDuration::from_millis(100),
@@ -381,16 +382,18 @@ fn golden_chaos_trace_digest_is_stable() {
         trace: WorldCupConfig::paper_default(),
         threads: 1,
     };
-    let cell = ChaosCellSpec {
-        strategy: StrategyKind::pbpl_degraded(),
-        scenario: FaultScenario::RateShock,
-        replicate: 0,
-    };
+    let cell = chaos_cell(
+        &protocol,
+        StrategyKind::pbpl_degraded(),
+        FaultScenario::RateShock,
+        0,
+    );
     let run_digest = || {
-        let (m, log) = run_chaos_cell(&protocol, &cell);
+        let (m, log) = run_recipe(&cell.recipe, cell.strategy.clone(), None, 1, true).unwrap();
+        let log = log.unwrap();
         assert!(m.all_items_consumed());
         assert_eq!(log.dropped, 0, "golden chaos run must fit the recorder");
-        let report = chaos_oracle(&log);
+        let report = pc_bench::oracle::check(&log);
         assert!(report.is_clean(), "violations: {:?}", report.violations);
         log.digest()
     };
@@ -416,8 +419,9 @@ fn degradation_strictly_reduces_consecutive_overflows_under_rate_shock() {
     // The 2 s horizon is load-bearing: long enough for several WorldCup
     // burst clusters and a full shock window, so the comparison measures
     // the policy rather than boundary noise.
-    use pc_bench::chaos::{execute_chaos, recovery_metrics, ChaosCellSpec};
+    use pc_bench::chaos::{chaos_cell, recovery_metrics};
     use pc_bench::exp::Protocol;
+    use pc_bench::sweep::{execute, FleetMap};
     use pcpower::faults::FaultScenario;
     let protocol = Protocol {
         duration: SimDuration::from_millis(2000),
@@ -430,26 +434,23 @@ fn degradation_strictly_reduces_consecutive_overflows_under_rate_shock() {
     for scenario in [FaultScenario::RateShock, FaultScenario::Baseline] {
         for strategy in [StrategyKind::pbpl_default(), StrategyKind::pbpl_degraded()] {
             for replicate in 0..protocol.replicates {
-                cells.push(ChaosCellSpec {
-                    strategy: strategy.clone(),
-                    scenario,
-                    replicate,
-                });
+                cells.push(chaos_cell(&protocol, strategy.clone(), scenario, replicate));
             }
         }
     }
-    let results = execute_chaos(&protocol, &cells, protocol.threads);
+    let (results, _) = execute(&cells, &FleetMap::new(), protocol.threads, 1, true);
     let metric = |scenario: FaultScenario, degraded: bool, replicate: usize| {
         let i = cells
             .iter()
             .position(|c| {
-                c.scenario == scenario
-                    && c.replicate == replicate
+                c.recipe.scenario == scenario.name()
+                    && c.recipe.seed == protocol.base_seed + replicate as u64
                     && matches!(&c.strategy, StrategyKind::Pbpl(cfg)
                         if cfg.degrade.enabled == degraded)
             })
             .expect("cell exists");
-        recovery_metrics(&results[i].1)
+        let run = results[i].as_ref().expect("chaos cell runs");
+        recovery_metrics(run.log.as_ref().expect("chaos cells are recorded"))
     };
     for replicate in 0..protocol.replicates {
         let vanilla = metric(FaultScenario::RateShock, false, replicate);
